@@ -8,30 +8,14 @@
 //! cargo run --release -p scd-bench --bin simperf -- --quick         # CI-sized
 //! cargo run --release -p scd-bench --bin simperf -- --ref old.json  # embed speedups
 //! cargo run --release -p scd-bench --bin simperf -- --quick --check BENCH_simperf.json
-//! cargo run --release -p scd-bench --bin simperf -- --interleaved   # reference loop
 //! ```
 //!
 //! The matrix is the golden-stats trio (fibo / random / spectral-norm)
 //! x both VMs x all three dispatch schemes x {embedded-a5, fpga-rocket}
 //! — 36 cells. Each cell loads a fresh session, disables the invariant
 //! checker and runs *untraced* under a fixed retired-instruction budget,
-//! so host wall time is the only free variable. Untraced runs take the
-//! execute-ahead replay loop by default; `--interleaved` pins the
-//! interleaved reference loop instead (the pre-replay measurement mode,
-//! kept for apples-to-apples comparisons). Output goes to
+//! so host wall time is the only free variable. Output goes to
 //! `BENCH_simperf.json` (hand-rolled JSON, schema in EXPERIMENTS.md).
-//!
-//! After the detailed matrix, the warming engines are measured on the
-//! same trio (embedded-a5, LVM, SCD). Four cells per benchmark:
-//! "drain" (the replay warming consumer alone, all structures on — its
-//! marginal cost on a pipelining host), "drain-gated" (the consumer on
-//! a split-window leg, cache on only for the last fifth), "replay"
-//! (the engine end-to-end: producer + consumer, which a 1-CPU host
-//! serializes) and "detailed" (the `WARMING=true` interleaved loop the
-//! engine replaced). The v3 record carries the drain geomean as
-//! `warming_mips` — `--check` holds it to the same regression floor as
-//! the detailed cells, so a slow warming engine cannot quietly eat the
-//! sampled sweep's duty-cycle budget.
 //!
 //! `--ref FILE` copies per-cell `mips` from an earlier record into the
 //! output as `ref_mips` plus a per-cell and geomean `speedup` — the
@@ -39,7 +23,8 @@
 //! compares the current run against a committed record and exits
 //! non-zero only when a cell *regresses* below `0.70x` its reference
 //! throughput (generous, sized for noisy 1-core CI runners); being
-//! faster never fails.
+//! faster never fails. Fields of older records that this tool no longer
+//! writes (the v3 warming-engine block) are ignored.
 
 use luma::scripts::BENCHMARKS;
 use scd_guest::{GuestOptions, Scheme, Session, Vm};
@@ -83,22 +68,6 @@ impl Cell {
     }
 }
 
-/// One warming-engine measurement: the same benchmark warmed by one of
-/// the replay-consumer configurations, the end-to-end replay engine, or
-/// the detailed-loop warmer.
-struct WarmCell {
-    bench: &'static str,
-    engine: &'static str,
-    insts: u64,
-    wall_s: f64,
-}
-
-impl WarmCell {
-    fn mips(&self) -> f64 {
-        self.insts as f64 / self.wall_s.max(1e-12) / 1e6
-    }
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let has = |f: &str| argv.iter().any(|a| a == f);
@@ -109,29 +78,19 @@ fn main() {
             .cloned()
     };
     let quick = has("--quick");
-    let interleaved = has("--interleaved");
     let budget = if quick { QUICK_BUDGET } else { FULL_BUDGET };
     let reference = arg_of("--ref").map(|p| load_record(&p));
     let check = arg_of("--check").map(|p| load_record(&p));
 
     let configs = [SimConfig::embedded_a5(), SimConfig::fpga_rocket()];
     let mut cells = Vec::new();
-    // Which engine the untraced fast path actually resolves to on this
-    // host (ReplayMode::Auto consults host parallelism), recorded so a
-    // throughput record names the loop that produced it.
-    let mut replay_mode = "unknown";
     // A broken cell must not torpedo the cells already measured: record
     // the failure, finish the matrix so the full picture is reported,
     // then exit non-zero.
     let mut failures: Vec<String> = Vec::new();
     eprintln!(
-        "simperf: {} cells, {budget} insts each{}",
-        configs.len() * 2 * 3 * BENCHES.len(),
-        if interleaved {
-            " (interleaved reference loop)"
-        } else {
-            ""
-        }
+        "simperf: {} cells, {budget} insts each",
+        configs.len() * 2 * 3 * BENCHES.len()
     );
     for cfg in &configs {
         for vm in Vm::ALL {
@@ -159,8 +118,6 @@ fn main() {
                     };
                     // Untraced, uninstrumented: the release fast path.
                     session.machine.disable_invariants();
-                    session.machine.set_replay(!interleaved);
-                    replay_mode = session.machine.replay_engine();
                     let started = Instant::now();
                     match session.machine.run(budget) {
                         Ok(_) | Err(SimError::InstLimit { .. }) => {}
@@ -185,94 +142,6 @@ fn main() {
         }
     }
 
-    // Warming-engine throughput: the replay-driven warmer vs the
-    // detailed-loop warmer it replaced, on the embedded-a5 / LVM / SCD
-    // corner of the trio. Both warm the same structures to the same
-    // bits (tests/warm_replay.rs holds them identical); the ratio is
-    // the duty-cycle headroom sampled sweeps get back.
-    let mut warm_cells: Vec<WarmCell> = Vec::new();
-    eprintln!("simperf: warming engines, {budget} insts each");
-    for name in BENCHES {
-        let b = BENCHMARKS
-            .iter()
-            .find(|b| b.name == name)
-            .expect("pinned benchmark");
-        for engine in ["drain", "drain-gated", "replay", "detailed"] {
-            let key = format!("embedded-a5/lvm/{name}/scd warming/{engine}");
-            let mut session = match Session::from_source(
-                SimConfig::embedded_a5(),
-                Vm::Lvm,
-                b.source,
-                &[("N", b.sim_arg)],
-                Scheme::Scd,
-                GuestOptions::default(),
-            ) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("  {key}: FAILED to load: {e}");
-                    failures.push(format!("{key}: {e}"));
-                    continue;
-                }
-            };
-            session.machine.disable_invariants();
-            let started = Instant::now();
-            // "drain" times the warming consumer alone via the
-            // measurement hook — the leg's marginal cost on a
-            // pipelining host, where producer fill overlaps the
-            // fast-forward work the schedule owes anyway.
-            // "drain-gated" is the same consumer on a split-window
-            // leg (cache on only for the last fifth, BTB/predictors
-            // the whole leg): the shape a predictor-conservative plan
-            // takes, and what per-structure windows make cheap.
-            // "replay" is the engine end-to-end (producer + drain,
-            // serialized on a 1-CPU host); "detailed" is the
-            // WARMING=true interleaved loop both replaced.
-            let (insts, wall_s) = match engine {
-                "drain" | "drain-gated" => {
-                    let windows = if engine == "drain-gated" {
-                        (budget / 5, u64::MAX, u64::MAX)
-                    } else {
-                        (u64::MAX, u64::MAX, u64::MAX)
-                    };
-                    match session.machine.warm_bench(0, budget, windows) {
-                        Ok((n, drain_s)) => (n, drain_s),
-                        Err(e) => {
-                            eprintln!("  {key}: FAILED: {e}");
-                            failures.push(format!("{key}: {e}"));
-                            continue;
-                        }
-                    }
-                }
-                _ => {
-                    let r = match engine {
-                        "replay" => session.machine.run_warming_replay(budget),
-                        _ => session.machine.run_warming(budget),
-                    };
-                    match r {
-                        Ok(_) | Err(SimError::InstLimit { .. }) => {}
-                        Err(e) => {
-                            eprintln!("  {key}: FAILED: {e}");
-                            failures.push(format!("{key}: {e}"));
-                            continue;
-                        }
-                    }
-                    (
-                        session.machine.stats.instructions,
-                        started.elapsed().as_secs_f64(),
-                    )
-                }
-            };
-            let cell = WarmCell {
-                bench: name,
-                engine,
-                insts,
-                wall_s,
-            };
-            eprintln!("  {key:<44} {:>8.2} Minst/s", cell.mips());
-            warm_cells.push(cell);
-        }
-    }
-
     if !failures.is_empty() {
         eprintln!("simperf: {} cell(s) failed:", failures.len());
         for f in &failures {
@@ -287,52 +156,18 @@ fn main() {
         exit(1);
     });
     eprintln!("simperf: geomean {g:.2} Minst/s over {} cells", cells.len());
-    let warming_mips = warm_geomean(&warm_cells, "drain");
-    let warming_detailed = warm_geomean(&warm_cells, "detailed");
-    eprintln!(
-        "simperf: warming geomean {warming_mips:.2} Minst/s drain vs \
-         {warming_detailed:.2} detailed ({:.2}x)",
-        warming_mips / warming_detailed.max(1e-12)
-    );
 
-    if let Some((baseline, base_warming)) = check {
-        exit(run_check(&cells, warming_mips, &baseline, base_warming));
+    if let Some(baseline) = check {
+        exit(run_check(&cells, &baseline));
     }
 
-    let json = render_json(
-        &cells,
-        &warm_cells,
-        quick,
-        budget,
-        replay_mode,
-        reference.as_ref().map(|(r, _)| r.as_slice()),
-    );
+    let json = render_json(&cells, quick, budget, reference.as_deref());
     scd_bench::write_artifact(OUT, &json);
     eprintln!("simperf: wrote {OUT}");
 }
 
-/// Geomean throughput of one warming engine's cells.
-fn warm_geomean(cells: &[WarmCell], engine: &str) -> f64 {
-    let mips: Vec<f64> = cells
-        .iter()
-        .filter(|c| c.engine == engine)
-        .map(WarmCell::mips)
-        .collect();
-    geomean(&mips).unwrap_or_else(|| {
-        eprintln!("simperf: no {engine} warming measurements — cannot compute geomean");
-        exit(1);
-    })
-}
-
 /// Compares this run against a committed record; only regressions fail.
-/// The drain-rate warming geomean is held to the same floor as the
-/// detailed cells (a pre-v3 baseline without the field skips that leg).
-fn run_check(
-    cells: &[Cell],
-    warming_mips: f64,
-    baseline: &[(String, f64)],
-    base_warming: Option<f64>,
-) -> i32 {
+fn run_check(cells: &[Cell], baseline: &[(String, f64)]) -> i32 {
     const TOLERANCE: f64 = 0.70;
     let mut bad = 0u32;
     let mut matched = 0u32;
@@ -355,15 +190,6 @@ fn run_check(
         eprintln!("simperf --check: no cells matched the baseline record");
         return 1;
     }
-    if let Some(base) = base_warming {
-        if warming_mips < base * TOLERANCE {
-            eprintln!(
-                "simperf --check: REGRESSION warming engine: {warming_mips:.2} Minst/s < \
-                 {TOLERANCE} x baseline {base:.2}"
-            );
-            bad += 1;
-        }
-    }
     if bad == 0 {
         eprintln!("simperf --check: {matched} cells within tolerance of the committed baseline");
         0
@@ -374,27 +200,20 @@ fn run_check(
 
 fn render_json(
     cells: &[Cell],
-    warm_cells: &[WarmCell],
     quick: bool,
     budget: u64,
-    replay_mode: &str,
     reference: Option<&[(String, f64)]>,
 ) -> String {
-    // v2 added "host_cpus" and "replay_mode": throughput numbers are
-    // meaningless without knowing how parallel the host was and which
-    // run loop (replay vs interleaved) produced them. v3 adds the
-    // warming-engine leg: "warming_mips" (the drain-rate geomean — the
-    // consumer's marginal cost, and the --check floor), its
-    // detailed-loop counterpart and the per-cell "warming" array
-    // (which also carries the gated-drain and end-to-end rates).
+    // v2 added "host_cpus": throughput numbers are meaningless without
+    // knowing how parallel the host was. v4 drops v3's warming-engine
+    // block and v2's "replay_mode" label: one run loop remains.
     let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"scd-simperf-v3\",");
+    let _ = writeln!(s, "  \"schema\": \"scd-simperf-v4\",");
     let _ = writeln!(s, "  \"quick\": {quick},");
     let _ = writeln!(s, "  \"budget_insts\": {budget},");
     let _ = writeln!(s, "  \"host_cpus\": {host_cpus},");
-    let _ = writeln!(s, "  \"replay_mode\": \"{replay_mode}\",");
     let mips: Vec<f64> = cells.iter().map(Cell::mips).collect();
     // A record with a zero geomean would make a later `--check` or
     // `--ref` comparison pass or fail spuriously: refuse to write one.
@@ -403,15 +222,6 @@ fn render_json(
         exit(1);
     });
     let _ = writeln!(s, "  \"geomean_mips\": {g:.3},");
-    let warming = warm_geomean(warm_cells, "drain");
-    let warming_detailed = warm_geomean(warm_cells, "detailed");
-    let _ = writeln!(s, "  \"warming_mips\": {warming:.3},");
-    let _ = writeln!(s, "  \"warming_detailed_mips\": {warming_detailed:.3},");
-    let _ = writeln!(
-        s,
-        "  \"warming_speedup\": {:.3},",
-        warming / warming_detailed.max(1e-12)
-    );
     let mut speedups = Vec::new();
     if let Some(r) = reference {
         for c in cells {
@@ -428,22 +238,6 @@ fn render_json(
         });
         let _ = writeln!(s, "  \"geomean_speedup_vs_ref\": {gs:.3},");
     }
-    s.push_str("  \"warming\": [\n");
-    let nw = warm_cells.len();
-    for (i, c) in warm_cells.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"bench\": \"{}\", \"engine\": \"{}\", \"insts\": {}, \
-             \"wall_ms\": {:.3}, \"warm_mips\": {:.3}}}",
-            c.bench,
-            c.engine,
-            c.insts,
-            c.wall_s * 1e3,
-            c.mips(),
-        );
-        s.push_str(if i + 1 == nw { "\n" } else { ",\n" });
-    }
-    s.push_str("  ],\n");
     s.push_str("  \"cells\": [\n");
     let n = cells.len();
     for (i, c) in cells.iter().enumerate() {
@@ -478,25 +272,19 @@ fn render_json(
 }
 
 /// Minimal reader for this tool's own output format: pulls
-/// `(key, mips)` pairs out of the `"cells"` array, one cell per line,
-/// plus the top-level `warming_mips` geomean (absent from pre-v3
-/// records, in which case the warming floor is skipped). Not a JSON
-/// parser — it only needs to round-trip what [`render_json`] writes
+/// `(key, mips)` pairs out of the `"cells"` array, one cell per line.
+/// Not a JSON parser — it only needs to round-trip what [`render_json`] writes
 /// (the workspace is serde-free by design).
 ///
 /// Strict where it matters: a line that names a cell (`"key"` present)
 /// must carry a well-formed, finite, positive `mips` number. Silently
 /// skipping such a line would shrink the baseline and let a regressed
 /// cell dodge the `--check` gate.
-fn load_record(path: &str) -> (Vec<(String, f64)>, Option<f64>) {
+fn load_record(path: &str) -> Vec<(String, f64)> {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("simperf: cannot read reference record {path}: {e}");
         exit(70);
     });
-    let warming = text
-        .lines()
-        .find_map(|l| field_num(l.trim_start(), "warming_mips"))
-        .filter(|m| m.is_finite() && *m > 0.0);
     let mut out = Vec::new();
     for line in text.lines() {
         let Some(key) = field_str(line, "key") else {
@@ -519,7 +307,7 @@ fn load_record(path: &str) -> (Vec<(String, f64)>, Option<f64>) {
         eprintln!("simperf: reference record {path} contains no cells");
         exit(1);
     }
-    (out, warming)
+    out
 }
 
 fn field_str(line: &str, name: &str) -> Option<String> {

@@ -283,7 +283,6 @@ pub fn run_report_cli(name: &str) {
     let scale = arg_scale_from_cli(report.default_scale);
     let threads = threads_from_cli();
     let mut m = RunMatrix::new();
-    m.set_interleaved(std::env::args().any(|a| a == "--interleaved"));
     let plan = (report.plan)(&mut m, scale);
     eprintln!(
         "{name}: {} unique cells ({} requested), {threads} thread(s)",

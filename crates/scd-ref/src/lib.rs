@@ -191,13 +191,6 @@ pub enum BopHint {
     Hit,
     /// The DUT observed a miss (or fall-through); the oracle falls through.
     Miss,
-    /// The DUT observed a JTE hit and resolved this target; the oracle
-    /// follows it without consulting its own JTE map. Used by the
-    /// execute-ahead replay driver, whose core may have been seeded from
-    /// a mid-run checkpoint where the architectural map trained before
-    /// the snapshot is unavailable (the cycle model's BTB-resident JTEs
-    /// are a lossy cache of it, so it cannot be reconstructed).
-    Target(u64),
 }
 
 /// The timing-free reference core.
@@ -320,10 +313,10 @@ impl RefCore {
     }
 
     /// Builds a core around pre-decoded instructions and *moved-in*
-    /// segments (the text segment included). The execute-ahead replay
-    /// producer uses this to take ownership of the DUT's guest memory
-    /// for the duration of a run — a 200 MB heap must not be cloned per
-    /// run — and hands it back via [`RefCore::into_segments`].
+    /// segments (the text segment included). The sampled fast-forward
+    /// leg uses this to take ownership of the DUT's guest memory for the
+    /// duration of a leg — a 200 MB heap must not be cloned per leg —
+    /// and hands it back via [`RefCore::into_insts_and_segments`].
     #[allow(clippy::too_many_arguments)]
     pub fn from_owned_state(
         text_base: u64,
@@ -358,55 +351,21 @@ impl RefCore {
 
     /// Per-segment high-water marks of the writes this core has made
     /// (bytes from each segment base), in segment order. An owner moving
-    /// memory back out via [`RefCore::into_segments`] merges these into
-    /// its own marks so snapshot scans stay bounded by written memory.
+    /// memory back out via [`RefCore::into_insts_and_segments`] merges
+    /// these into its own marks so snapshot scans stay bounded by written
+    /// memory.
     pub fn seg_high_waters(&self) -> &[usize] {
         &self.seg_hw
     }
 
-    /// Consumes the core and returns its segments in construction order.
-    /// The counterpart of [`RefCore::from_owned_state`]: the replay
-    /// driver moves the guest memory back into the DUT when the run ends.
-    pub fn into_segments(self) -> Vec<Segment> {
-        self.segs
-    }
-
-    /// Like [`RefCore::into_segments`], but also hands back the decoded
-    /// text vector. The sampled fast-forward builds a fresh core per
-    /// interval leg; recycling the decode (megabytes for a real
-    /// interpreter) keeps the per-leg cost at the state sync, not an
-    /// allocation.
+    /// Consumes the core and returns its decoded text and its segments
+    /// in construction order: the counterpart of
+    /// [`RefCore::from_owned_state`]. The sampled fast-forward builds a
+    /// fresh core per interval leg; recycling the decode (megabytes for
+    /// a real interpreter) keeps the per-leg cost at the state sync, not
+    /// an allocation.
     pub fn into_insts_and_segments(self) -> (Vec<Option<Inst>>, Vec<Segment>) {
         (self.insts, self.segs)
-    }
-
-    /// What a [`BopHint::Auto`] `bop` on `bid` would resolve to right
-    /// now: `Some(target)` for a hit, `None` for a fall-through. The
-    /// replay producer uses this to *speculate* past `bop`s (recording
-    /// the predicted outcome for the timing model to verify) instead of
-    /// stopping at every one.
-    pub fn bop_auto_target(&self, bid: u8) -> Option<u64> {
-        let bid = bid as usize % self.nbids;
-        if self.scd_enabled && self.scd[bid].rop_v {
-            self.jte_map.get(&(bid as u8, self.scd[bid].rop_d)).copied()
-        } else {
-            None
-        }
-    }
-
-    /// Reads `size` bytes little-endian at `addr`, or `None` when the
-    /// range is unmapped. The replay producer snapshots the old bytes of
-    /// every store (an undo log) so a mis-speculated or interrupted
-    /// batch can be rolled back to the consumer's exact point.
-    pub fn read_mem(&mut self, addr: u64, size: u64) -> Option<u64> {
-        self.read(addr, size, 0).ok()
-    }
-
-    /// Writes `size` bytes little-endian at `addr`; panics if unmapped
-    /// (undo entries are pre-validated by construction).
-    pub fn write_mem(&mut self, addr: u64, size: u64, v: u64) {
-        self.write(addr, size, v, 0)
-            .expect("undo entry targets mapped memory");
     }
 
     /// Maps an additional zero-filled segment (stacks, heap, fuzz data).
@@ -430,22 +389,14 @@ impl RefCore {
     /// Seeds one SCD register set from externally captured architectural
     /// state. [`RefCore::from_state`] zeroes the SCD registers, which is
     /// only correct when the snapshot was taken before the first
-    /// retirement; a driver resuming from a mid-run checkpoint (the
-    /// execute-ahead replay path) must carry `Rop`/`Rmask` over or its
-    /// `load_op` results and `jru` training would diverge from the DUT.
+    /// retirement; a driver resuming mid-run (the sampled fast-forward
+    /// leg) must carry `Rop`/`Rmask` over or its `load_op` results and
+    /// `jru` training would diverge from the DUT.
     pub fn seed_scd(&mut self, bid: usize, rop_v: bool, rop_d: u64, rmask: u64) {
         let s = &mut self.scd[bid % self.nbids.max(1)];
         s.rop_v = rop_v;
         s.rop_d = rop_d;
         s.rmask = rmask;
-    }
-
-    /// The masked opcode value `Rop[bid].d` (already `& Rmask[bid]`).
-    /// The replay producer records it after each `load_op` because the
-    /// register-file writeback alone loses the loaded value when the
-    /// destination is `x0`.
-    pub fn rop_d(&self, bid: usize) -> u64 {
-        self.scd[bid % self.nbids.max(1)].rop_d
     }
 
     /// The full architectural SCD register view `(rop_v, rop_d, rmask)`
@@ -679,7 +630,6 @@ impl RefCore {
                         )
                     }
                     BopHint::Miss => None,
-                    BopHint::Target(t) => Some(t),
                 };
                 if let Some(t) = target {
                     next_pc = t;

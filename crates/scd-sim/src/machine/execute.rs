@@ -98,19 +98,21 @@ impl Machine {
                 next_pc = target;
                 // Direct jumps: BTB-predicted in fetch; miss costs a
                 // decode-stage redirect.
-                let pred = self.btb.lookup_leveled(BtbKey::Pc(pc));
-                self.charge_l1_late_target::<WARMING>(pred.is_some_and(|(_, l1)| l1));
-                let hit = pred.map(|(t, _)| t) == Some(target);
-                if !hit {
-                    let out = self.btb.insert(BtbKey::Pc(pc), target);
-                    self.note_insert::<OBSERVED>(EntryKind::Pc, out);
-                    self.redirect::<OBSERVED, WARMING>(
-                        RedirectCause::JalMiss,
-                        self.cfg.jal_redirect_penalty,
-                    );
+                if !WARMING || self.warm_gates.btb {
+                    let pred = self.btb.lookup_leveled(BtbKey::Pc(pc));
+                    self.charge_l1_late_target::<WARMING>(pred.is_some_and(|(_, l1)| l1));
+                    let hit = pred.map(|(t, _)| t) == Some(target);
+                    if !hit {
+                        let out = self.btb.insert(BtbKey::Pc(pc), target);
+                        self.note_insert::<OBSERVED>(EntryKind::Pc, out);
+                        self.redirect::<OBSERVED, WARMING>(
+                            RedirectCause::JalMiss,
+                            self.cfg.jal_redirect_penalty,
+                        );
+                    }
+                    self.note_branch::<OBSERVED>(BranchClass::Direct, !hit);
                 }
-                self.note_branch::<OBSERVED>(BranchClass::Direct, !hit);
-                if rd == Reg::RA {
+                if rd == Reg::RA && (!WARMING || self.warm_gates.pred) {
                     self.ras.push(pc + 4);
                 }
             }
@@ -119,7 +121,9 @@ impl Machine {
                 self.wx(rd, pc + 4);
                 self.xready[rd.index()] = self.cycle + 1;
                 next_pc = target;
-                self.account_indirect::<OBSERVED, WARMING>(pc, rd, rs1, target);
+                if !WARMING || self.warm_gates.pred {
+                    self.account_indirect::<OBSERVED, WARMING>(pc, rd, rs1, target);
+                }
             }
             Inst::Branch {
                 op,
@@ -131,6 +135,23 @@ impl Machine {
                 let b = self.regs[rs2.index()];
                 let taken = exec::branch_taken(op, a, b);
                 let target = pc.wrapping_add(offset as u64);
+                if WARMING && !(self.warm_gates.btb && self.warm_gates.pred) {
+                    // Split warm windows: train each open structure
+                    // alone, with the same update rules as below.
+                    if self.warm_gates.pred {
+                        self.direction.update(pc, taken);
+                    }
+                    if self.warm_gates.btb {
+                        let pred = self.btb.lookup_leveled(BtbKey::Pc(pc));
+                        if taken && pred.map(|(t, _)| t) != Some(target) {
+                            let _ = self.btb.insert(BtbKey::Pc(pc), target);
+                        }
+                    }
+                    if taken {
+                        next_pc = target;
+                    }
+                    return Ok(StepOut { next_pc, exit_code });
+                }
                 // Effective front-end prediction: taken only when the
                 // direction predictor says taken AND the BTB supplies
                 // the target.

@@ -337,7 +337,9 @@ impl Machine {
     /// Executes `jru`: the dispatch slow path. Trains the JTE with the
     /// pending (opcode → target) pair when one is armed, then predicts
     /// and accounts the jump like any other indirect. Returns the
-    /// resolved target.
+    /// resolved target. A warm leg whose predictor window is still
+    /// closed withholds only the indirect accounting: the JTE overlay
+    /// keeps training, since `bop` resolves against it.
     pub(super) fn exec_jru<const OBSERVED: bool, const WARMING: bool>(
         &mut self,
         bid: u8,
@@ -355,32 +357,8 @@ impl Machine {
             self.note_insert::<OBSERVED>(EntryKind::Jte, out);
             self.scd[bid].rop_v = false;
         }
-        self.account_indirect::<OBSERVED, WARMING>(pc, Reg::ZERO, rs1, target);
-        target
-    }
-
-    /// `exec_jru` with the indirect-predictor traffic withheld: the
-    /// replay warm leg uses this while its predictor window is still
-    /// closed, because the JTE overlay must keep training (it backs the
-    /// producer's `bop` speculation and the `jru_executed`/insert
-    /// counters stay architecturally exact) even when ITTAGE/BTB warming
-    /// hasn't started.
-    pub(super) fn exec_jru_train_only(
-        &mut self,
-        bid: u8,
-        rs1: Reg,
-        _pc: u64,
-        scd_cfg: &ScdConfig,
-        nbids: usize,
-    ) -> u64 {
-        let bid = bid as usize % nbids.max(1);
-        self.stats.jru_executed += 1;
-        let target = self.regs[rs1.index()] & !1;
-        if scd_cfg.enabled && self.scd[bid].rop_v {
-            let opcode = self.scd[bid].rop_d;
-            let out = self.jte_insert(bid as u8, opcode, target);
-            self.note_insert::<false>(EntryKind::Jte, out);
-            self.scd[bid].rop_v = false;
+        if !WARMING || self.warm_gates.pred {
+            self.account_indirect::<OBSERVED, WARMING>(pc, Reg::ZERO, rs1, target);
         }
         target
     }

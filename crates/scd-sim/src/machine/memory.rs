@@ -35,12 +35,16 @@ impl Machine {
 
     /// Data access timing; charges miss cycles and records attribution.
     /// Under `WARMING` the D-TLB / D-cache / L2 contents and statistics
-    /// update exactly as in detailed mode, but no cycles are charged.
+    /// update exactly as in detailed mode (unless the cache warm gate is
+    /// still closed), but no cycles are charged.
     pub(super) fn data_timing<const OBSERVED: bool, const WARMING: bool>(
         &mut self,
         addr: u64,
         write: bool,
     ) {
+        if WARMING && !self.warm_gates.cache {
+            return;
+        }
         let mut d = DataAccess::default();
         self.stats.dtlb.accesses += 1;
         if !self.dtlb.access(addr) {

@@ -28,7 +28,9 @@
 //! * [`retire`](self) — per-retirement statistics, trace-event emission,
 //!   the stat-invariant checkpoint, and fault-injection hooks;
 //! * [`state`](self) — run/exit types, guest annotations, profiling,
-//!   and checkpoint snapshot/restore.
+//!   and checkpoint snapshot/restore;
+//! * [`sampling`](self) — the sampled scheduler: RefCore fast-forward
+//!   legs, gated warm legs and detailed measurement windows.
 //!
 //! Each retirement flows frontend → execute (→ memory for loads/stores)
 //! → retire; [`Machine::run`] is the loop that sequences the stages.
@@ -39,11 +41,9 @@
 mod execute;
 mod frontend;
 mod memory;
-mod replay;
 mod retire;
 mod sampling;
 mod state;
-mod warm;
 #[cfg(test)]
 mod tests;
 
@@ -68,31 +68,31 @@ use std::sync::Arc;
 /// Maximum number of SCD branch IDs supported by the model.
 pub const MAX_BRANCH_IDS: usize = 4;
 
-/// Which run loop untraced machines take (observed machines always run
-/// interleaved — their per-retirement hooks need functional execution
-/// in-line with timing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReplayMode {
-    /// Pin the interleaved reference loop.
-    Off,
-    /// Execute-ahead replay when the host has ≥ 2 hardware threads,
-    /// interleaved otherwise. The decoupled engine buys its speed from
-    /// overlapping the functional producer with the timing consumer; on
-    /// a single-hardware-thread host the two serialize into fill +
-    /// drain — strictly more work than the fused loop — so falling back
-    /// is the faster choice. Either loop yields bit-identical
-    /// [`SimStats`](crate::SimStats).
-    Auto,
-    /// Execute-ahead replay unconditionally (the bit-identity tests use
-    /// this so the real engine is exercised even on one-CPU hosts).
-    Force,
+/// Which structure classes a warming retirement updates. A sampled
+/// warm leg with per-structure windows
+/// (`PERIOD:WARMUP/BTB=N,PRED=N:MEASURE`) spans the longest window and
+/// opens each class only for the leg's last `window` retirements.
+/// Architectural effects (registers, SCD state, the JTE overlay `bop`
+/// resolves against, counters, scoreboard stamps) always apply; only
+/// the structure touches are withheld. The run loop reads the gates
+/// only when `WARMING`, so detailed loops compile them away.
+#[derive(Debug, Clone, Copy)]
+struct WarmGates {
+    /// I$/I-TLB fetch touches and D$/D-TLB/L2 data touches.
+    cache: bool,
+    /// PC-indexed BTB entries (direct jumps, conditional-branch targets).
+    btb: bool,
+    /// Direction predictor, ITTAGE, RAS and indirect (`jalr`, `jru`)
+    /// traffic.
+    pred: bool,
 }
 
-/// Whether the host can actually overlap the replay producer and
-/// consumer threads (cached: the answer cannot change mid-process).
-fn host_can_pipeline() -> bool {
-    static CAN: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *CAN.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2))
+impl WarmGates {
+    const ALL: WarmGates = WarmGates {
+        cache: true,
+        btb: true,
+        pred: true,
+    };
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -115,10 +115,6 @@ pub struct Machine {
     /// Per-instruction static metadata, parallel to `insts`; rebuilt by
     /// [`Machine::set_annotations`]. See [`StaticInfo`].
     static_info: Vec<StaticInfo>,
-    /// Compact per-instruction dispatch table for the warming consumer,
-    /// parallel to `insts`; rebuilt with `static_info`. See
-    /// [`warm::WarmInfo`].
-    warm_info: Vec<warm::WarmInfo>,
     text_base: u64,
     text_end: u64,
 
@@ -171,13 +167,9 @@ pub struct Machine {
     fault_plan: Option<FaultPlan>,
     cycle_budget: Option<u64>,
     wall_budget: Option<std::time::Duration>,
-    /// Untraced runs take the execute-ahead replay loop (see
-    /// [`replay`](self)) when the host can pipeline it; see
-    /// [`Machine::set_replay`] / [`Machine::force_replay`].
-    replay: ReplayMode,
-    /// Test hook: make the replay producer thread panic mid-fill, so the
-    /// panic-containment path (`SimError::ProducerPanic`) is testable.
-    test_producer_panic: bool,
+    /// Structure classes the warming loop updates; all-on except inside
+    /// a sampled warm leg with per-structure windows. Never snapshotted.
+    warm_gates: WarmGates,
 
     /// Fetch-streak fast path (untraced loops only): the I-cache block
     /// of the most recent fetch, and how many subsequent same-block
@@ -355,8 +347,7 @@ impl Machine {
             fault_plan: None,
             cycle_budget: None,
             wall_budget: None,
-            replay: ReplayMode::Auto,
-            test_producer_panic: false,
+            warm_gates: WarmGates::ALL,
             fetch_blk: u64::MAX,
             fetch_streak: 0,
             ff_decoded: None,
@@ -367,7 +358,6 @@ impl Machine {
             mem,
             insts: Arc::clone(&program.insts),
             static_info: Vec::new(),
-            warm_info: Vec::new(),
             text_base: program.text_base,
             text_end: program.text_end(),
             cfg,
@@ -391,7 +381,7 @@ impl Machine {
     /// Recomputes the [`StaticInfo`] side-table from the decoded text and
     /// the current annotations.
     fn rebuild_static_info(&mut self) {
-        let info: Vec<StaticInfo> = self
+        self.static_info = self
             .insts
             .iter()
             .enumerate()
@@ -409,13 +399,6 @@ impl Machine {
                 si
             })
             .collect();
-        self.warm_info = self
-            .insts
-            .iter()
-            .zip(&info)
-            .map(|(inst, si)| warm::WarmInfo::of(inst, si.in_dispatch, &self.cfg))
-            .collect();
-        self.static_info = info;
     }
 
     /// The static side-table entry for the instruction at `pc`, which
@@ -523,60 +506,11 @@ impl Machine {
         self.wall_budget = Some(budget);
     }
 
-    /// Selects the run loop for untraced machines: `true` (the default)
-    /// takes the execute-ahead replay path on hosts with at least two
-    /// hardware threads (on a single-CPU host the producer/consumer
-    /// pair cannot overlap, so the interleaved loop — bit-identical by
-    /// construction — is the faster engine and is substituted
-    /// silently); `false` pins the interleaved reference loop.
-    /// Irrelevant once any observer (tracer, invariants, profiling,
-    /// fault plan) is attached — observers always run interleaved,
-    /// since their per-retirement hooks need functional execution
-    /// in-line with timing.
-    pub fn set_replay(&mut self, replay: bool) {
-        self.replay = if replay {
-            ReplayMode::Auto
-        } else {
-            ReplayMode::Off
-        };
-    }
-
-    /// Like [`Machine::set_replay`]`(true)`, minus the single-CPU
-    /// fallback: the threaded execute-ahead engine runs even when the
-    /// host cannot overlap the two threads. The bit-identity tests use
-    /// this so the real engine is exercised on any host.
-    pub fn force_replay(&mut self) {
-        self.replay = ReplayMode::Force;
-    }
-
-    /// Which engine an *untraced* `run` on this machine resolves to
-    /// right now: `"replay"` (the execute-ahead producer/consumer pair)
-    /// or `"interleaved"` (the fused reference loop, either pinned or
-    /// the automatic single-CPU fallback). Perf records store this next
-    /// to the host CPU count so cross-box numbers are interpretable —
-    /// the two engines have very different throughput profiles.
-    /// Machines with an observer attached always run interleaved
-    /// regardless of what this reports.
-    pub fn replay_engine(&self) -> &'static str {
-        let pipelined = match self.replay {
-            ReplayMode::Off => false,
-            ReplayMode::Auto => host_can_pipeline(),
-            ReplayMode::Force => true,
-        };
-        if pipelined {
-            "replay"
-        } else {
-            "interleaved"
-        }
-    }
-
-    /// Makes the next execute-ahead replay producer thread panic while
-    /// filling its first batch. Exists solely so tests can prove the
-    /// containment contract of [`SimError::ProducerPanic`](crate::SimError);
-    /// it has no effect on the interleaved loop.
+    /// The engine label perf records store next to the host CPU count.
+    /// Every run takes the interleaved loop, so this is a constant.
     #[doc(hidden)]
-    pub fn inject_replay_producer_panic(&mut self) {
-        self.test_producer_panic = true;
+    pub fn replay_engine(&self) -> &'static str {
+        "interleaved"
     }
 
     /// Bytes the guest has written through the putchar `ecall` so far.
@@ -611,12 +545,6 @@ impl Machine {
             || self.fault_plan.is_some();
         if observed {
             self.run_impl::<true>(max_insts)
-        } else if match self.replay {
-            ReplayMode::Off => false,
-            ReplayMode::Auto => host_can_pipeline(),
-            ReplayMode::Force => true,
-        } {
-            self.run_replay(max_insts)
         } else {
             self.run_impl::<false>(max_insts)
         }
@@ -695,7 +623,7 @@ impl Machine {
             let cycle_before = self.cycle;
             if OBSERVED {
                 self.fetch_timing::<OBSERVED, WARMING>(pc);
-            } else {
+            } else if !WARMING || self.warm_gates.cache {
                 self.fetch_fast::<WARMING>(pc);
             }
             if !WARMING {

@@ -6,11 +6,12 @@
 //! Mode seams:
 //!
 //! * *fast-forward* hands the guest to the `scd-ref` reference core
-//!   (the same producer the execute-ahead replay engine uses) and syncs
-//!   the architectural state back at the leg boundary;
+//!   and syncs the architectural state back at the leg boundary;
 //! * *warming* is the interleaved loop monomorphized with `WARMING =
 //!   true` ([`Machine::run_warming`]) — caches, TLBs, predictors and the
-//!   JTE overlay update, the clock does not;
+//!   JTE overlay update, the clock does not. Per-structure windows open
+//!   each structure class's warm gate only for the leg's last `window`
+//!   retirements;
 //! * *measure* is the stock detailed interleaved loop; its counter
 //!   deltas feed the [`SampleAccum`](crate::SampleAccum).
 //!
@@ -20,12 +21,14 @@
 //! both the architectural (`Rop.v` clear) and micro-architectural (JTE
 //! flush) effects exactly where the detailed loop would have.
 
-use super::{Exit, Machine, ReplayMode, SimError};
+use super::{Exit, Machine, SimError, WarmGates};
 use crate::config::ScdConfig;
+use crate::mem::MemFault;
 use crate::sampling::{SampleAccum, SampleReport, SamplingPlan};
 use crate::snapshot::Snapshot;
 use crate::stats::SimStats;
-use scd_ref::{RefCore, Segment};
+use scd_isa::{exec, Inst};
+use scd_ref::{RefCore, RefError, Segment};
 
 impl Machine {
     /// Runs `insts` instructions in pure architectural fast-forward on
@@ -48,8 +51,8 @@ impl Machine {
         let base = self.stats.instructions;
         let target = base + insts;
 
-        // Same construction as the replay producer: move the guest
-        // memory into the core, seed the live SCD register sets. The
+        // Move the guest memory into the core (a large heap must not be
+        // cloned per leg) and seed the live SCD register sets. The
         // decoded text is recycled leg to leg via `ff_decoded`.
         let segments: Vec<Segment> = self
             .mem
@@ -76,6 +79,9 @@ impl Machine {
             scd_cfg.enabled,
             scd_cfg.branch_ids,
         );
+        // Only the first `nbids` SCD register sets are architecturally
+        // live; seeding the dormant tail would alias into live slots
+        // through the oracle's `bid % nbids` reduction.
         for (bid, s) in self.scd.iter().take(nbids).enumerate() {
             core.seed_scd(bid, s.rop_v, s.rop_d, s.rmask);
         }
@@ -134,12 +140,80 @@ impl Machine {
 
         match fault {
             Some(e) => {
-                let err = self.replicate_error::<false>(e, &scd_cfg);
+                let err = self.replicate_error(e, &scd_cfg);
                 self.flush_fetch_streak();
                 Err(err)
             }
             None => Ok(exited),
         }
+    }
+
+    /// Reproduces a reference-core guest error with the detailed loop's
+    /// exact partial charging: the bounds check precedes any timing, and
+    /// a memory fault or trap retires its instruction (fetch + issue +
+    /// `begin_retirement`) before erroring out of the execute stage.
+    fn replicate_error(&mut self, e: RefError, scd_cfg: &ScdConfig) -> SimError {
+        let pc = match e {
+            RefError::PcOutOfRange { pc } => return SimError::PcOutOfRange { pc },
+            RefError::Mem { pc, .. } | RefError::Break { pc } => pc,
+            // `from_owned_state` reuses the machine's own decoded
+            // instructions, and fast-forward never hands the core a
+            // `bop` hint, so these are internal contract violations,
+            // not guest errors.
+            RefError::BadInst { pc } => unreachable!("reference core failed to decode pc {pc:#x}"),
+            RefError::BopUntrained { .. } | RefError::BopNotValid { .. } => {
+                unreachable!("fast-forward resolves bops architecturally")
+            }
+            RefError::InstLimit { .. } => unreachable!("the leg budget is not an error"),
+        };
+        let idx = ((pc - self.text_base) / 4) as usize;
+        let si = self.static_info[idx];
+        self.fetch_fast::<false>(pc);
+        self.issue(&si);
+        self.begin_retirement::<false>(si.in_dispatch, scd_cfg);
+        match e {
+            RefError::Mem { addr, write, .. } => {
+                let size = match self.insts[idx] {
+                    Inst::Load { op, .. } | Inst::LoadOp { op, .. } => exec::load_width(op),
+                    Inst::Store { op, .. } => exec::store_width(op),
+                    Inst::Fld { .. } | Inst::Fsd { .. } => 8,
+                    _ => unreachable!("memory fault on a non-memory instruction"),
+                };
+                SimError::Mem {
+                    pc,
+                    fault: MemFault { addr, size, write },
+                }
+            }
+            _ => SimError::Break { pc },
+        }
+    }
+
+    /// One warm leg, up to the absolute retirement count `warm_end`:
+    /// the interleaved `WARMING` loop with each structure class's gate
+    /// opened for the leg's last `window` retirements of `plan` (a
+    /// uniform plan opens all three from the first). Same `Exit` /
+    /// `InstLimit` contract as [`Machine::run_warming`].
+    fn warm_leg(&mut self, warm_end: u64, plan: &SamplingPlan) -> Result<Exit, SimError> {
+        let windows = [plan.warmup, plan.btb_warmup, plan.pred_warmup];
+        let r = loop {
+            // The gates hold until the nearest still-closed window opens.
+            let remaining = warm_end - self.stats.instructions;
+            let [cache, btb, pred] = windows.map(|w| remaining <= w);
+            self.warm_gates = WarmGates { cache, btb, pred };
+            let until = windows
+                .iter()
+                .filter(|&&w| remaining > w)
+                .map(|&w| warm_end - w)
+                .min()
+                .unwrap_or(warm_end);
+            match self.run_loop::<false, true>(until) {
+                Err(SimError::InstLimit { .. }) if until < warm_end => {}
+                r => break r,
+            }
+        };
+        self.warm_gates = WarmGates::ALL;
+        self.flush_fetch_streak();
+        r
     }
 
     /// Runs the guest to completion (or `max_insts`) under `plan`'s
@@ -185,72 +259,34 @@ impl Machine {
         let mut warm_insts = 0u64;
         let mut exit: Option<Exit> = None;
 
-        // The warm leg's engine. Per-structure windows always take the
-        // gated replay consumer — it is the only engine that implements
-        // them (inline via `warm_leg_sync` on hosts with no core to
-        // spare). Uniform plans take it only where it wins: when the
-        // producer thread can overlap the leg's fast-forward span with
-        // the previous drain (`Force`, or `Auto` on a pipelining host).
-        // On a single CPU the producer and drain serialize and the
-        // `run_fastforward` + `run_warming` cadence is cheaper, so
-        // `Auto` falls back to it — the two cadences are bit-identical
-        // either way, which `tests/warm_replay.rs` holds.
-        let split_windows = plan.btb_warmup != plan.warmup || plan.pred_warmup != plan.warmup;
-        let replay_warm = plan.warm_len() > 0
-            && (split_windows
-                || match self.replay {
-                    ReplayMode::Off => false,
-                    ReplayMode::Auto => super::host_can_pipeline(),
-                    ReplayMode::Force => true,
-                });
-
         while exit.is_none() && self.stats.instructions < max_insts {
             // --- fast-forward to the next interval's warm point ---
             let ff = plan.skip().min(max_insts - self.stats.instructions);
-            if replay_warm {
-                // --- fused fast-forward + replay-driven warming ---
-                let n0 = self.stats.instructions;
-                let warm_end = (n0 + ff).saturating_add(plan.warm_len()).min(max_insts);
-                let out = self.warm_leg(
-                    ff,
-                    warm_end,
-                    (plan.warmup, plan.btb_warmup, plan.pred_warmup),
-                )?;
-                ff_insts += out.ff_retired;
-                warm_insts += out.warm_retired;
-                if let Some(e) = out.exit {
-                    exit = Some(e);
+            if ff > 0 {
+                let before = self.stats.instructions;
+                let code = self.run_fastforward(ff)?;
+                ff_insts += self.stats.instructions - before;
+                if let Some(code) = code {
+                    exit = Some(Exit {
+                        code,
+                        output: std::mem::take(&mut self.output),
+                    });
                     break;
                 }
-            } else {
-                if ff > 0 {
-                    let before = self.stats.instructions;
-                    let code = self.run_fastforward(ff)?;
-                    ff_insts += self.stats.instructions - before;
-                    if let Some(code) = code {
-                        exit = Some(Exit {
-                            code,
-                            output: std::mem::take(&mut self.output),
-                        });
+            }
+
+            // --- functional warming ---
+            if plan.warm_len() > 0 && self.stats.instructions < max_insts {
+                let before = self.stats.instructions;
+                let res = self.warm_leg((before + plan.warm_len()).min(max_insts), plan);
+                warm_insts += self.stats.instructions - before;
+                match res {
+                    Ok(e) => {
+                        exit = Some(e);
                         break;
                     }
-                }
-
-                // --- interleaved functional warming ---
-                if plan.warmup > 0 && self.stats.instructions < max_insts {
-                    let before = self.stats.instructions;
-                    let until = (before + plan.warmup).min(max_insts);
-                    match self.run_warming(until) {
-                        Ok(e) => {
-                            warm_insts += self.stats.instructions - before;
-                            exit = Some(e);
-                            break;
-                        }
-                        Err(SimError::InstLimit { .. }) => {
-                            warm_insts += self.stats.instructions - before;
-                        }
-                        Err(e) => return Err(e),
-                    }
+                    Err(SimError::InstLimit { .. }) => {}
+                    Err(e) => return Err(e),
                 }
             }
             if self.stats.instructions >= max_insts {

@@ -62,19 +62,20 @@ impl ExecMode {
 /// `results/warming_sensitivity.txt` — is that caches/TLBs need the
 /// longest window while the predictors retrain almost instantly on
 /// the hot dispatch loop; other workloads can invert that, which is
-/// why the windows are per-class rather than hard-coded.) The
-/// replay-driven warming engine turns each structure class on only for
-/// the last `N` instructions of the warm leg:
+/// why the windows are per-class rather than hard-coded.) The warm
+/// leg spans the longest window and turns each structure class on only
+/// for its last `N` instructions:
 ///
 /// * `warmup` — caches and TLBs (I$/D$/L2, I-TLB/D-TLB), and the base
 ///   warming length the other windows default to;
 /// * `btb_warmup` — PC-indexed BTB entries (direct jumps, conditional
 ///   branch targets);
 /// * `pred_warmup` — direction predictor, ITTAGE, RAS and the indirect
-///   (`jalr`) BTB traffic.
+///   (`jalr`, `jru`) BTB traffic.
 ///
-/// JTE training and `bop` resolution are architecturally coupled to the
-/// record stream and always run for the whole warm leg.
+/// JTE training and `bop` resolution are architecturally coupled (the
+/// guest's control flow depends on them) and always run for the whole
+/// warm leg.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingPlan {
     /// Instructions per sampling interval.

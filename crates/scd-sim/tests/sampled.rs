@@ -1,7 +1,7 @@
 //! Sampled-simulation integration tests: the fast-forward → warm →
 //! measure cadence against full-detail runs of the same guest, the
-//! exact-fallback and budget paths, and the mid-warming checkpoint
-//! property the sampling scheduler leans on.
+//! exact-fallback and budget paths, per-structure warm windows, and the
+//! mid-warming checkpoint property the sampling scheduler leans on.
 
 use proptest::prelude::*;
 use scd_isa::{Asm, Inst, LoadOp, Program, Reg};
@@ -223,4 +223,177 @@ proptest! {
         prop_assert_eq!(&resumed.stats, &cont.stats);
         prop_assert_eq!(resumed.snapshot().to_bytes(), cont.snapshot().to_bytes());
     }
+}
+
+/// A plain (SCD-less) guest: nested loops over a strided buffer with a
+/// call/return pair per iteration — exercises the D-side, direct and
+/// indirect branches and the RAS without any `bop`/`jru` traffic.
+fn strider_program(rows: i64, stride: i64) -> Program {
+    let mut a = Asm::new(0x1_0000);
+    a.li(Reg::S1, 0x10_0000);
+    a.li(Reg::S2, rows);
+    a.li(Reg::S3, stride);
+    a.li(Reg::A2, 0);
+    a.label("outer");
+    a.li(Reg::T0, 0);
+    a.label("inner");
+    a.mul(Reg::T1, Reg::T0, Reg::S3);
+    a.add(Reg::T1, Reg::T1, Reg::S1);
+    a.lw(Reg::T2, 0, Reg::T1);
+    a.add(Reg::A2, Reg::A2, Reg::T2);
+    a.sw(Reg::A2, 0, Reg::T1);
+    a.call("bump");
+    a.addi(Reg::T0, Reg::T0, 1);
+    a.blt(Reg::T0, Reg::S3, "inner");
+    a.addi(Reg::S2, Reg::S2, -1);
+    a.bnez(Reg::S2, "outer");
+    a.andi(Reg::A0, Reg::A2, 0xff);
+    a.li(Reg::A7, 0);
+    a.ecall();
+    a.label("bump");
+    a.addi(Reg::A2, Reg::A2, 1);
+    a.ret();
+    a.finish().expect("assemble")
+}
+
+/// FNV-1a over a snapshot's bytes: a compact end-state fingerprint.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Per-structure warming windows, pinned: sampled runs under split
+/// plans (each structure class's gate opening at a different point of
+/// the warm leg, covering the direction-only and BTB-only branch arms)
+/// and under a uniform plan must keep their estimate, cadence and full
+/// end state. The digest covers the whole snapshot — caches, TLBs,
+/// BTB/JTE overlay, predictors, RAS, SCD registers and counters — so a
+/// gate that opens one retirement early or late shows up here.
+#[test]
+fn golden_split_and_uniform_windows() {
+    // (guest, plan, flush quantum, cycles_est, intervals, warm_insts,
+    //  snapshot digest)
+    type Case = (u8, &'static str, Option<u64>, u64, u64, u64, u64);
+    #[rustfmt::skip]
+    let cases: [Case; 4] = [
+        (0, "20k:1k/BTB=400,PRED=3k:2k", None, 423_048, 11, 33_000, 0x41cb_03b2_db2d_dea7),
+        (0, "20k:100/BTB=3k,PRED=50:2k", Some(7_000), 419_116, 11, 33_000, 0x298d_0980_1a66_95a2),
+        (1, "20k:500/BTB=3k,PRED=50:2k", None, 574_490, 19, 57_000, 0x00cd_fc33_19cc_1ecd),
+        (0, "20k:3k:2k", Some(7_000), 428_126, 11, 33_000, 0xaa3b_d052_b232_fa8d),
+    ];
+    for (guest, plan, flush, cycles_est, intervals, warm_insts, digest) in cases {
+        let p = if guest == 0 {
+            dispatcher_program(20_000)
+        } else {
+            strider_program(400, 97)
+        };
+        let mut cfg = SimConfig::embedded_a5();
+        cfg.scd.flush_interval = flush;
+        let plan = SamplingPlan::parse(plan).unwrap();
+        let mut m = machine(&cfg, &p);
+        let (_, r) = m.run_sampled(10_000_000, &plan).expect("sampled run");
+        assert_eq!(
+            (r.cycles_est, r.intervals, r.warm_insts),
+            (cycles_est, intervals, warm_insts),
+            "{plan} (flush {flush:?})"
+        );
+        assert_eq!(
+            fnv1a(&m.snapshot().to_bytes()),
+            digest,
+            "{plan} (flush {flush:?}): end-state snapshot"
+        );
+    }
+}
+
+/// Golden sampled run whose guest halts *inside* a warm leg (after
+/// measured intervals have accumulated): the warming/measure boundary
+/// bookkeeping must attribute every retirement and keep the
+/// architectural result exact.
+#[test]
+fn golden_sampled_exit_crosses_warming_boundary() {
+    let p = dispatcher_program(2_000);
+    let cfg = SimConfig::embedded_a5();
+
+    // Full-detail reference for the architectural result.
+    let mut full = machine(&cfg, &p);
+    let e_full = full.run(10_000_000).expect("full run");
+    let total = full.stats.instructions;
+
+    // Place the guest's end inside a warm leg: with period 4k and the
+    // end at `total`, pick warmup long enough that `total % 4k` lands
+    // after the skip but before the measure window.
+    let period = 4_000u64;
+    let into = total % period;
+    assert!(into > 600, "guest length {total} must overshoot the skip");
+    let plan = SamplingPlan::new(period, into.saturating_sub(200), 200).unwrap();
+
+    let mut m = machine(&cfg, &p);
+    let (e, report) = m.run_sampled(10_000_000, &plan).expect("sampled run");
+    assert_eq!(e.code, e_full.code);
+    assert_eq!(e.output, e_full.output);
+    assert!(!report.exact_fallback);
+    assert!(report.intervals >= 1);
+    // Every retirement is attributed to exactly one leg.
+    assert_eq!(
+        report.total_insts,
+        report.ff_insts + report.warm_insts + report.measured_insts
+    );
+}
+
+/// Per-structure windows: a split plan (short cache window, longer
+/// BTB/predictor windows) keeps architectural results exact, and
+/// collapses to the uniform plan when the windows are equal.
+#[test]
+fn split_windows_run_and_stay_architecturally_exact() {
+    let p = dispatcher_program(3_000);
+    let cfg = SimConfig::embedded_a5();
+
+    let mut full = machine(&cfg, &p);
+    let e_full = full.run(10_000_000).expect("full run");
+
+    let plan = SamplingPlan::parse("4k:600/BTB=1k,PRED=1500:800").unwrap();
+    assert_eq!(plan.warm_len(), 1_500);
+    let mut m = machine(&cfg, &p);
+    let (e, report) = m.run_sampled(10_000_000, &plan).expect("sampled run");
+    assert_eq!(e.code, e_full.code);
+    assert_eq!(e.output, e_full.output);
+    assert!(!report.exact_fallback);
+    assert!(report.intervals >= 2, "intervals: {}", report.intervals);
+    // The warm legs span the longest window.
+    assert!(report.warm_insts >= report.intervals * 1_400);
+
+    // Uniform overrides are the plain plan: same parse, same cadence,
+    // same estimate.
+    let uniform = SamplingPlan::parse("4k:1k/BTB=1k,PRED=1k:800").unwrap();
+    let plain = SamplingPlan::parse("4k:1k:800").unwrap();
+    assert_eq!(uniform.manifest(), plain.manifest());
+    let mut a = machine(&cfg, &p);
+    let mut b = machine(&cfg, &p);
+    let ra = a.run_sampled(10_000_000, &uniform).expect("uniform");
+    let rb = b.run_sampled(10_000_000, &plain).expect("plain");
+    assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
+    assert_eq!(a.stats, b.stats);
+}
+
+/// The warm seam composes with ordinary runs: continuing in detailed
+/// mode straight from the warmed state matches continuing from a
+/// snapshot of it restored into a fresh machine.
+#[test]
+fn warm_then_detailed_seam_composes() {
+    let p = strider_program(60, 16);
+    let cfg = SimConfig::embedded_a5();
+
+    let mut a = machine(&cfg, &p);
+    assert!(hit_limit(a.run_warming(8_000)));
+    let snap = a.snapshot();
+    let ea = a.run(20_000);
+
+    let mut b = machine(&cfg, &p);
+    b.restore(&snap).expect("restore the warmed state");
+    let eb = b.run(20_000);
+
+    assert_eq!(format!("{ea:?}"), format!("{eb:?}"));
+    assert_eq!(a.stats, b.stats);
+    assert_eq!(a.snapshot().to_bytes(), b.snapshot().to_bytes());
 }
