@@ -21,7 +21,8 @@
 //! Exits non-zero on the first divergence, printing the trace-window
 //! dump path emitted by the guard.
 
-use scd_bench::{arg_scale_from_cli, emit_report, parallel_map, threads_from_cli, ArgScale};
+use scd_bench::{arg_scale_from_cli, emit_report, threads_from_cli, ArgScale};
+use scd_serve::parallel_map;
 use scd_guest::{differential_check, RunRequest, Scheme, Vm};
 use scd_sim::{FaultPlan, SimConfig};
 use std::fmt::Write as _;

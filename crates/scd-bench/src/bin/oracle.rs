@@ -24,7 +24,8 @@
 //! cargo run --release -p scd-bench --bin oracle -- --threads 4
 //! ```
 
-use scd_bench::{arg_scale_from_cli, emit_report, parallel_map, threads_from_cli, ArgScale};
+use scd_bench::{arg_scale_from_cli, emit_report, threads_from_cli, ArgScale};
+use scd_serve::parallel_map;
 use scd_guest::{lockstep_check, RunRequest, Scheme, Vm};
 use scd_sim::lockstep::snapshot_core;
 use scd_sim::SimConfig;

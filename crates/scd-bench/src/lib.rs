@@ -17,8 +17,9 @@
 //! uses (see [`figures`]).
 //!
 //! This library holds the shared machinery: the deduplicating run-matrix
-//! builder and parallel executor ([`sweep`]), the per-figure planners
-//! and renderers ([`figures`]), and the table formatting below.
+//! builder ([`sweep`], which executes on `scd-serve`'s batch driver),
+//! the per-figure planners and renderers ([`figures`]), and the table
+//! formatting below.
 
 use luma::scripts::Benchmark;
 use scd_guest::Scheme;
@@ -30,14 +31,9 @@ pub mod sweep;
 
 pub use headline::{EdpHeadline, Table4Headline};
 pub use sweep::{
-    parallel_map, plan_matrix, try_parallel_map, CellId, CellOut, CellSpec, MapOutcome, Matrix,
-    MatrixPlan, MatrixRow, RunMatrix, SweepError, SweepResults,
+    plan_matrix, CellId, CellSpec, Matrix, MatrixPlan, MatrixRow, RunMatrix, SweepError,
+    SweepResults,
 };
-
-/// Invariant-checkpoint stride for harness runs. Figure binaries run in
-/// release, so the self-check is explicitly enabled here: every figure
-/// is produced from a run whose counters passed the cross-checks.
-pub(crate) const INVARIANT_STRIDE: u64 = 1 << 16;
 
 /// The four bars of Fig. 7: three software schemes plus the VBBI
 /// hardware predictor (which runs the *baseline* binary).

@@ -9,32 +9,32 @@
 //! 1. every figure contributes the cells it needs to one [`RunMatrix`]
 //!    builder, which deduplicates them by their full identity
 //!    (configuration, VM, benchmark, input, scheme, build options);
-//! 2. [`RunMatrix::run`] executes the unique cells on a work-stealing
-//!    pool of plain `std::thread::scope` workers (the `Machine` stack is
-//!    `Send`, asserted at compile time in `scd-sim`), with results
-//!    written into per-cell slots so the reduction order — and therefore
-//!    every rendered byte — is deterministic regardless of thread count;
+//! 2. [`RunMatrix::run`] turns each unique cell into a serve
+//!    [`JobSpec`] and executes the batch with `scd-serve`'s
+//!    [`run_batch`] and [`simulate_job`] — the same pool and the same
+//!    runner as `scd serve`, so a sweep shares its panic isolation, its
+//!    one retry of transient failures, its interrupt drain and its cache
+//!    keys. Outcomes arrive in planning order, so every rendered byte is
+//!    deterministic regardless of thread count;
 //! 3. figures render from the shared [`SweepResults`] via stable
 //!    [`CellId`] handles.
 //!
 //! Untraced cells run uninstrumented on the fast loop (oracle checksum
 //! validation still gates every cell). Traced cells carry a
-//! [`CycleBreakdown`] sink and the invariant checker armed at
-//! [`INVARIANT_STRIDE`](crate), exactly as the sequential binaries did —
-//! observers take the observed loop. The trace layer is stat-invariant
-//! (golden-pinned), so a cell shared between a traced and an untraced
-//! consumer is run once, traced, and both read identical statistics. [`RunMatrix::set_invariants`] arms the checker on
-//! *every* cell, so a gate run self-verifies all of its stats.
+//! [`CycleBreakdown`] sink and the invariant checker — observers take
+//! the observed loop. The trace layer is stat-invariant (golden-pinned),
+//! so a cell shared between a traced and an untraced consumer is run
+//! once, traced, and both read identical statistics.
+//! [`RunMatrix::set_invariants`] arms the checker on *every* cell, so a
+//! gate run self-verifies all of its stats.
 
-use crate::{ArgScale, Variant, INVARIANT_STRIDE};
+use crate::{ArgScale, Variant};
 use luma::scripts::{Benchmark, BENCHMARKS};
-use scd_guest::{GuestOptions, GuestRun, RunRequest, Scheme, Vm};
-use scd_serve::{manifest_for, panic_message, payload, Cache, CachedRun};
+use scd_guest::{GuestOptions, Scheme, Vm};
+use scd_serve::{run_batch, simulate_job, Cache, CachedRun, JobDone, JobOutcome, JobSpec};
 use scd_sim::{CycleBreakdown, SamplingPlan, SimConfig};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
 /// Stable handle to one cell of a [`RunMatrix`] / [`SweepResults`].
@@ -76,17 +76,34 @@ impl CellSpec {
             self.opts
         )
     }
-}
 
-/// One executed cell: the validated run, its optional cycle
-/// decomposition, and how long it took on the host.
-pub struct CellOut {
-    /// The oracle-validated run.
-    pub run: GuestRun,
-    /// Event-derived cycle decomposition (`None` for untraced cells).
-    pub breakdown: Option<CycleBreakdown>,
-    /// Host wall-clock time this cell took to simulate.
-    pub wall: Duration,
+    /// The serve job that runs this cell. Traced cells ignore the
+    /// matrix sampling plan: a cycle breakdown is a per-retirement
+    /// observation, meaningless over a sampled run. The plan joins the
+    /// job's cache manifest (sampled cycle counts are estimates and must
+    /// never masquerade as exact); `invariants` does not, because the
+    /// checker changes no counter.
+    fn job(&self, sample: Option<SamplingPlan>, invariants: bool) -> JobSpec {
+        JobSpec {
+            // `"bench [vm / scheme]"`: the cell's name in progress and errors.
+            id: format!(
+                "{} [{} / {}]",
+                self.bench.name,
+                self.vm.name(),
+                self.scheme.name()
+            ),
+            vm: self.vm,
+            scheme: self.scheme,
+            cfg: self.cfg.clone(),
+            src: self.bench.source.to_string(),
+            predefined: vec![("N".to_string(), self.arg)],
+            max_insts: u64::MAX,
+            opts: self.opts,
+            traced: self.traced,
+            sample: if self.traced { None } else { sample },
+            invariants,
+        }
+    }
 }
 
 /// Deduplicating builder for the evaluation run matrix.
@@ -124,8 +141,8 @@ impl RunMatrix {
         self.hits.iter().sum()
     }
 
-    /// Arms the invariant checker at [`INVARIANT_STRIDE`](crate) on
-    /// every cell — traced or not — instead of on traced cells only.
+    /// Arms the invariant checker on every cell — traced or not —
+    /// instead of on traced cells only.
     /// Stats are identical either way (the checker is a stat-invariant
     /// observer); this trades the fast loop's speed for self-verified
     /// counters on every full-detail cell. Sampled cells stay unchecked:
@@ -197,24 +214,22 @@ impl RunMatrix {
     /// Panics if any cell fails oracle validation — a harness run must
     /// never silently produce numbers from a wrong execution.
     pub fn run(self, threads: usize, progress: bool) -> SweepResults {
-        match self.run_cached(threads, progress, None, None) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
+        self.run_cached(threads, progress, None, None)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`RunMatrix::run`] with the robustness knobs exposed: an optional
-    /// persistent result [`Cache`] (entries are keyed through
-    /// [`manifest_for`], so they interoperate with `scd serve`) and an
-    /// optional interrupt flag. When the flag becomes true, in-flight
-    /// cells finish — and commit their cache entries — but no new cell
-    /// is claimed, and the sweep returns [`SweepError::Interrupted`]; a
-    /// rerun against the same cache resumes as hits.
+    /// persistent result [`Cache`] (cells run as `scd serve` jobs, so
+    /// their entries interoperate) and an optional interrupt flag. When
+    /// the flag becomes true, in-flight cells finish — and commit their
+    /// cache entries — but no new cell is claimed, and the sweep returns
+    /// [`SweepError::Interrupted`]; a rerun against the same cache
+    /// resumes as hits.
     ///
     /// # Errors
     /// [`SweepError::Cell`] on the first cell that fails to compile,
-    /// validate or persist (including a worker panic, which no longer
-    /// takes the rest of the matrix down with it);
+    /// validate or persist (a worker panic or a failed cache store is
+    /// retried once first, and never takes the rest of the matrix down);
     /// [`SweepError::Interrupted`] when cut short.
     pub fn run_cached(
         self,
@@ -224,44 +239,43 @@ impl RunMatrix {
         interrupt: Option<&AtomicBool>,
     ) -> Result<SweepResults, SweepError> {
         let started = Instant::now();
-        let total = self.cells.len();
-        let done = AtomicUsize::new(0);
-        let invariants = self.invariants;
-        let sample = self.sample;
-        let outs = try_parallel_map(&self.cells, threads, interrupt, |spec| {
-            let out = run_cell(spec, invariants, sample.as_ref(), cache);
-            if progress {
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                let status = match &out {
-                    Ok(cell) => format!("{:.2}s", cell.wall.as_secs_f64()),
-                    Err(_) => "FAILED".to_string(),
+        let jobs: Vec<JobSpec> = self
+            .cells
+            .iter()
+            .map(|spec| spec.job(self.sample, self.invariants))
+            .collect();
+        let total = jobs.len();
+        let never = AtomicBool::new(false);
+        let mut cells = Vec::with_capacity(total);
+        let mut failure = None;
+        run_batch(
+            &jobs,
+            threads,
+            interrupt.unwrap_or(&never),
+            |job| simulate_job(job, cache, None),
+            |i, job, outcome| {
+                let status = match outcome {
+                    JobOutcome::Done(done) => {
+                        cells.push((**done).clone());
+                        format!("{:.2}s", done.wall.as_secs_f64())
+                    }
+                    JobOutcome::Failed { error, .. } => {
+                        let msg = format!("{}: {}", job.id, error.message());
+                        failure.get_or_insert(SweepError::Cell(msg));
+                        "FAILED".to_string()
+                    }
+                    JobOutcome::Cancelled => {
+                        failure.get_or_insert(SweepError::Interrupted);
+                        return;
+                    }
                 };
-                eprintln!(
-                    "  [{d}/{total}] {} [{} / {}] {status}",
-                    spec.bench.name,
-                    spec.vm.name(),
-                    spec.scheme.name(),
-                );
-            }
-            out
-        });
-        let mut cells = Vec::with_capacity(outs.len());
-        for (i, out) in outs.into_iter().enumerate() {
-            let spec = &self.cells[i];
-            let label = format!(
-                "{} [{} / {}]",
-                spec.bench.name,
-                spec.vm.name(),
-                spec.scheme.name()
-            );
-            match out {
-                MapOutcome::Done(Ok(cell)) => cells.push(cell),
-                MapOutcome::Done(Err(msg)) => return Err(SweepError::Cell(msg)),
-                MapOutcome::Panicked(msg) => {
-                    return Err(SweepError::Cell(format!("{label}: worker panicked: {msg}")))
+                if progress {
+                    eprintln!("  [{}/{total}] {} {status}", i + 1, job.id);
                 }
-                MapOutcome::Cancelled => return Err(SweepError::Interrupted),
-            }
+            },
+        );
+        if let Some(e) = failure {
+            return Err(e);
         }
         Ok(SweepResults {
             specs: self.cells,
@@ -294,216 +308,12 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// Runs one cell, oracle-validated, through the optional persistent
-/// cache. Traced cells (and every cell under `invariants`) run with the
-/// invariant checker armed; other untraced cells run uninstrumented on
-/// the fast loop, or under interval sampling when the matrix has a plan.
-fn run_cell(
-    spec: &CellSpec,
-    invariants: bool,
-    sample: Option<&SamplingPlan>,
-    cache: Option<&Cache>,
-) -> Result<CellOut, String> {
-    let started = Instant::now();
-    let label = format!(
-        "{} [{} / {}]",
-        spec.bench.name,
-        spec.vm.name(),
-        spec.scheme.name()
-    );
-    let args = [("N", spec.arg)];
-    // Traced cells ignore the matrix sampling plan: the cycle breakdown
-    // is a per-retirement observation, meaningless over a sampled run.
-    let sample = if spec.traced { None } else { sample };
-    let req = RunRequest::new(spec.cfg.clone(), spec.vm, spec.bench.source)
-        .predefined(&args)
-        .scheme(spec.scheme)
-        .opts(spec.opts)
-        .sample(sample.cloned());
-    // `invariants` is deliberately absent from the key: the checker
-    // observes without changing a counter, so checked and unchecked
-    // runs share one cache entry. The
-    // sampling plan *is* in the key (via the request manifest): sampled
-    // cycle counts are estimates and must never masquerade as exact.
-    let key = cache.map(|_| Cache::key(&manifest_for(&req, spec.traced)));
-    if let (Some(c), Some(key)) = (cache, key.as_deref()) {
-        if let Some(bytes) = c.load(key) {
-            // Checksum passed but the payload may predate a format
-            // change (or lack the breakdown this consumer needs); any
-            // such mismatch degrades to recompute, never a failure.
-            let decoded = std::str::from_utf8(&bytes)
-                .map_err(|e| e.to_string())
-                .and_then(payload::decode);
-            if let Ok(cached) = decoded {
-                if (!spec.traced || cached.breakdown.is_some())
-                    && sample.is_some() == cached.sample.is_some()
-                {
-                    let breakdown = cached.breakdown;
-                    return Ok(CellOut {
-                        run: cached.to_run(),
-                        breakdown,
-                        wall: started.elapsed(),
-                    });
-                }
-            }
-        }
-    }
-    let mut run = req
-        .run_with(|m| {
-            if spec.traced || invariants {
-                m.enable_invariants(INVARIANT_STRIDE);
-            } else {
-                // Keep the fast loop (debug builds otherwise auto-arm
-                // the invariant observer).
-                m.disable_invariants();
-            }
-            if spec.traced {
-                m.set_trace_sink(Box::new(CycleBreakdown::default()));
-            }
-        })
-        .map_err(|e| format!("{label}: {e}"))?;
-    let breakdown = match spec.traced {
-        true => Some(
-            *run.take_sink::<CycleBreakdown>()
-                .ok_or_else(|| format!("{label}: breakdown sink did not come back"))?,
-        ),
-        false => None,
-    };
-    if let (Some(c), Some(key)) = (cache, key.as_deref()) {
-        let text = payload::encode(&CachedRun::from_run(&run, breakdown.as_ref()));
-        c.store(key, text.as_bytes())
-            .map_err(|e| format!("{label}: cache store under {}: {e}", c.root().display()))?;
-    }
-    Ok(CellOut {
-        run,
-        breakdown,
-        wall: started.elapsed(),
-    })
-}
-
-/// What happened to one item of a [`try_parallel_map`].
-#[derive(Debug)]
-pub enum MapOutcome<U> {
-    /// The worker completed and produced a value.
-    Done(U),
-    /// The worker panicked on this item; the panic message is preserved
-    /// and the rest of the map kept running.
-    Panicked(String),
-    /// The item was never claimed because `cancel` became true first.
-    Cancelled,
-}
-
-/// Order-preserving parallel map over a slice using scoped threads: a
-/// shared atomic cursor hands out indices, each worker writes its result
-/// into the slot for the index it claimed, and the output order matches
-/// the input order exactly. With `threads <= 1` it degenerates to a
-/// plain sequential map (no pool, no locks).
-///
-/// Each item is computed under `catch_unwind` *before* its slot mutex
-/// is taken, so a panicking worker yields [`MapOutcome::Panicked`] for
-/// that one item instead of poisoning the slot and aborting the whole
-/// map — the historical failure mode where one bad cell cost the rest
-/// of an hours-long matrix. When `cancel` flips to true, workers stop
-/// claiming and the unclaimed tail comes back [`MapOutcome::Cancelled`];
-/// claims are monotonic, so cancelled items always form a suffix of the
-/// per-worker claim order (with one thread, of the whole output).
-pub fn try_parallel_map<T, U, F>(
-    items: &[T],
-    threads: usize,
-    cancel: Option<&AtomicBool>,
-    f: F,
-) -> Vec<MapOutcome<U>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let cancelled = || cancel.is_some_and(|c| c.load(Ordering::SeqCst));
-    let run_one = |item: &T| match catch_unwind(AssertUnwindSafe(|| f(item))) {
-        Ok(v) => MapOutcome::Done(v),
-        Err(payload) => MapOutcome::Panicked(panic_message(payload)),
-    };
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        return items
-            .iter()
-            .map(|item| {
-                if cancelled() {
-                    MapOutcome::Cancelled
-                } else {
-                    run_one(item)
-                }
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<MapOutcome<U>>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                if cancelled() {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let out = run_one(item);
-                match slots[i].lock() {
-                    Ok(mut slot) => *slot = Some(out),
-                    // Unreachable now that nothing panics while holding
-                    // the lock, but if that ever regresses the result
-                    // still lands instead of cascading the poison.
-                    Err(poisoned) => *poisoned.into_inner() = Some(out),
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .unwrap_or(MapOutcome::Cancelled)
-        })
-        .collect()
-}
-
-/// Infallible wrapper over [`try_parallel_map`]: returns the mapped
-/// values in input order.
-///
-/// # Panics
-/// Re-raises the first worker panic — but only after every other item
-/// has completed, so one bad item no longer discards the rest of the
-/// computation mid-flight.
-pub fn parallel_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let mut first_panic = None;
-    let results: Vec<U> = try_parallel_map(items, threads, None, f)
-        .into_iter()
-        .filter_map(|o| match o {
-            MapOutcome::Done(v) => Some(v),
-            MapOutcome::Panicked(msg) => {
-                first_panic.get_or_insert(msg);
-                None
-            }
-            MapOutcome::Cancelled => unreachable!("no cancel flag was passed"),
-        })
-        .collect();
-    match first_panic {
-        None => results,
-        Some(msg) => panic!("parallel_map worker panicked: {msg}"),
-    }
-}
-
-/// The executed matrix: one [`CellOut`] per unique planned cell, plus
+/// The executed matrix: one finished job per unique planned cell, plus
 /// the wall-clock accounting the sweep driver reports.
 pub struct SweepResults {
     specs: Vec<CellSpec>,
     hits: Vec<usize>,
-    cells: Vec<CellOut>,
+    cells: Vec<JobDone>,
     /// Wall-clock time of the whole (parallel) execution.
     pub wall: Duration,
 }
@@ -520,7 +330,7 @@ impl SweepResults {
     }
 
     /// The validated run of `id`.
-    pub fn get(&self, id: CellId) -> &GuestRun {
+    pub fn get(&self, id: CellId) -> &CachedRun {
         &self.cells[id.0].run
     }
 
@@ -530,6 +340,7 @@ impl SweepResults {
     /// Panics when the cell was planned untraced.
     pub fn breakdown(&self, id: CellId) -> &CycleBreakdown {
         self.cells[id.0]
+            .run
             .breakdown
             .as_ref()
             .expect("cell was planned traced")
@@ -553,7 +364,7 @@ impl SweepResults {
     }
 
     /// Iterates `(spec, times-requested, result)` in planning order.
-    pub fn iter(&self) -> impl Iterator<Item = (&CellSpec, usize, &CellOut)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&CellSpec, usize, &JobDone)> {
         self.specs
             .iter()
             .zip(&self.hits)
@@ -639,7 +450,7 @@ impl<'r> MatrixRow<'r> {
     }
 
     /// The validated run of variant `v`.
-    pub fn get(&self, v: Variant) -> &'r GuestRun {
+    pub fn get(&self, v: Variant) -> &'r CachedRun {
         self.results.get(self.id(v))
     }
 
@@ -666,6 +477,7 @@ impl<'r> MatrixRow<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn dedup_collapses_identical_cells() {
@@ -685,88 +497,49 @@ mod tests {
         assert_eq!(m.len(), 2);
     }
 
+    /// Cache keys recorded before sweep cells became serve jobs: one
+    /// untraced, one traced, one sampled under the qualified default
+    /// plan, one with non-default build options and one on the Rocket
+    /// configuration. A drift here would orphan every cache a previous
+    /// sweep or `scd serve` filled.
     #[test]
-    fn parallel_map_is_order_preserving() {
-        let items: Vec<u64> = (0..97).collect();
-        let seq: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for threads in [1, 2, 7] {
-            assert_eq!(parallel_map(&items, threads, |x| x * x), seq);
-        }
-    }
-
-    #[test]
-    fn try_parallel_map_isolates_worker_panics() {
-        let items: Vec<u64> = (0..16).collect();
-        for threads in [1, 4] {
-            let outs = try_parallel_map(&items, threads, None, |&x| {
-                if x == 7 {
-                    panic!("boom at {x}");
-                }
-                x * 2
-            });
-            assert_eq!(outs.len(), items.len());
-            for (i, o) in outs.iter().enumerate() {
-                match o {
-                    MapOutcome::Done(v) => {
-                        assert_ne!(i, 7, "threads={threads}: item 7 must not succeed");
-                        assert_eq!(*v, items[i] * 2);
-                    }
-                    MapOutcome::Panicked(msg) => {
-                        assert_eq!(i, 7, "threads={threads}: only item 7 panics");
-                        assert!(msg.contains("boom at 7"), "payload preserved: {msg}");
-                    }
-                    MapOutcome::Cancelled => panic!("nothing was cancelled"),
-                }
+    fn cell_cache_keys_are_pinned() {
+        let keys = [
+            "7493ca3b8d41ffbf34f9da0eda6af2691a32287b4350bbe3920e1a00e6ad039e",
+            "655cb61d6dec2c0f0ff32af3386ab637f9eb917c603abd5b66d3abd6660dfcb5",
+            "643d19f2ae5eb9f506b4b7cf01403eac8740805527ebe6e254d090d0c2eb8230",
+            "31204a6ecd592fead27d3f7232819f166ded6cb18ba01b3b56c52e747a0627d5",
+            "90963d3f20fab1063d4ecee9f9ee4bcd3dfc3f26331e966acf79204fd308e17f",
+        ];
+        let (a5, rocket) = (SimConfig::embedded_a5(), SimConfig::fpga_rocket());
+        let plan = Some(SamplingPlan::qualified_default(false));
+        #[rustfmt::skip]
+        let rows = [
+            (&a5, Vm::Lvm, "binary-trees", ArgScale::Tiny, Scheme::Baseline, false, None),
+            // A traced cell ignores the plan.
+            (&a5, Vm::Lvm, "fibo", ArgScale::Sim, Scheme::Scd, true, plan),
+            (&a5, Vm::Svm, "n-body", ArgScale::Sim, Scheme::Threaded, false, plan),
+            // Built with scheduled fetch below.
+            (&a5, Vm::Lvm, "spectral-norm", ArgScale::Tiny, Scheme::Scd, false, None),
+            (&rocket, Vm::Svm, "k-nucleotide", ArgScale::Fpga, Scheme::Scd, false, None),
+        ];
+        for (i, (row, want)) in rows.into_iter().zip(keys).enumerate() {
+            let (cfg, vm, name, scale, scheme, traced, sample) = row;
+            let bench = BENCHMARKS
+                .iter()
+                .find(|b| b.name == name)
+                .expect("benchmark");
+            let opts = GuestOptions {
+                scheduled_fetch: i == 3,
+                ..GuestOptions::default()
+            };
+            let (cfg, arg) = (cfg.clone(), scale.arg(bench));
+            #[rustfmt::skip]
+            let spec = CellSpec { cfg, vm, bench, arg, scheme, opts, traced };
+            for invariants in [false, true] {
+                let job = spec.job(sample, invariants);
+                assert_eq!(Cache::key(&job.cache_manifest()), want, "{}", job.id);
             }
-        }
-    }
-
-    #[test]
-    fn parallel_map_finishes_other_items_before_reraising() {
-        let items: Vec<u64> = (0..8).collect();
-        let completed = AtomicUsize::new(0);
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map(&items, 4, |&x| {
-                if x == 3 {
-                    panic!("injected cell failure");
-                }
-                completed.fetch_add(1, Ordering::SeqCst);
-                x
-            })
-        }))
-        .expect_err("the worker panic must surface");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            msg.contains("injected cell failure"),
-            "message preserved: {msg}"
-        );
-        assert_eq!(
-            completed.load(Ordering::SeqCst),
-            7,
-            "the other items still ran"
-        );
-    }
-
-    #[test]
-    fn cancel_flag_stops_claiming_new_items() {
-        let items: Vec<u64> = (0..6).collect();
-        let cancel = AtomicBool::new(false);
-        let outs = try_parallel_map(&items, 1, Some(&cancel), |&x| {
-            if x == 1 {
-                cancel.store(true, Ordering::SeqCst);
-            }
-            x
-        });
-        assert!(matches!(outs[0], MapOutcome::Done(0)));
-        assert!(
-            matches!(outs[1], MapOutcome::Done(1)),
-            "the in-flight item finishes"
-        );
-        for (i, o) in outs.iter().enumerate().skip(2) {
-            assert!(
-                matches!(o, MapOutcome::Cancelled),
-                "item {i} must be cancelled"
-            );
         }
     }
 

@@ -16,6 +16,7 @@
 use crate::{usage, EXIT_INTERNAL, EXIT_INVARIANT};
 use scd_ref::corpus::{self, Repro};
 use scd_ref::gen::{generate, GenBias, GenConfig, Rng};
+use scd_serve::parallel_map;
 use scd_sim::{downcast_sink, LockstepSink, Machine, SimConfig, SimError};
 use std::process::exit;
 
@@ -168,32 +169,16 @@ struct Failure {
 /// failing variant and its divergence detail.
 type IndexResult = Result<u64, (&'static str, String)>;
 
-/// Fuzzes indices `0..count`, each under all three variants. Returns
-/// per-index results in index order regardless of thread count.
+/// Fuzzes indices `0..count`, each under all three variants, on the
+/// shared worker pool. Results come back in index order regardless of
+/// thread count.
 fn fuzz_all(o: &FuzzOpts) -> (u64, Vec<Failure>) {
     let indices: Vec<u64> = (0..o.count).collect();
-    let results: Vec<(u64, IndexResult)> = if o.threads <= 1 {
-        indices.iter().map(|&i| (i, fuzz_index(o, i))).collect()
-    } else {
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for t in 0..o.threads {
-                let chunk: Vec<u64> =
-                    indices.iter().copied().filter(|i| (*i as usize) % o.threads == t).collect();
-                handles.push(s.spawn(move || {
-                    chunk.into_iter().map(|i| (i, fuzz_index(o, i))).collect::<Vec<_>>()
-                }));
-            }
-            let mut all: Vec<_> =
-                handles.into_iter().flat_map(|h| h.join().expect("fuzz worker panicked")).collect();
-            all.sort_by_key(|(i, _)| *i);
-            all
-        })
-    };
+    let results = parallel_map(&indices, o.threads, |&i| fuzz_index(o, i));
 
     let mut checked = 0u64;
     let mut failures = Vec::new();
-    for (i, r) in results {
+    for (i, r) in indices.into_iter().zip(results) {
         match r {
             Ok(c) => checked += c,
             Err((variant, detail)) => {

@@ -41,6 +41,7 @@
 //! client recomputes and overwrites. Corruption can cost time, never
 //! correctness and never a crash.
 
+use scd_sim::{fnv1a, FNV_OFFSET};
 use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -52,23 +53,6 @@ const MAGIC: [u8; 4] = *b"SCDC";
 const VERSION: u32 = 1;
 /// Header size in bytes.
 const HEADER: usize = 24;
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes` (the same construction `scd-sim`'s snapshot
-/// fingerprint uses; cheap, and plenty against torn writes and bit
-/// rot — this is an integrity check, not an authenticity one).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Counters describing what the cache did, all monotonic. Shared
 /// (`&Cache`) across worker threads, hence atomics.
@@ -217,7 +201,7 @@ impl Cache {
         entry.extend_from_slice(&MAGIC);
         entry.extend_from_slice(&VERSION.to_le_bytes());
         entry.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        entry.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        entry.extend_from_slice(&fnv1a(FNV_OFFSET, payload).to_le_bytes());
         entry.extend_from_slice(payload);
 
         let n = self.seq.fetch_add(1, Ordering::Relaxed);
@@ -284,7 +268,7 @@ fn verify(bytes: &[u8]) -> Result<&[u8], String> {
         ));
     }
     let want = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let got = fnv1a(payload);
+    let got = fnv1a(FNV_OFFSET, payload);
     if got != want {
         return Err(format!("checksum mismatch: {got:#018x} != {want:#018x}"));
     }

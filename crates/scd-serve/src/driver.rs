@@ -1,19 +1,27 @@
-//! The panic-isolated batch driver: a worker pool that streams job
-//! outcomes in input order with backpressure, survives worker panics,
-//! retries transient failures once, and drains cleanly on interrupt.
+//! The one worker pool and the one job runner.
 //!
-//! The pool is deliberately *not* `sweep.rs`'s `parallel_map`: a batch
-//! service streams results as they complete (bounded channel, reorder
-//! buffer) instead of buffering a whole matrix, and it must keep going
-//! when a worker dies. The two properties that make interruption safe:
+//! Every fan-out in the workspace runs on the private in-order
+//! streaming pool below, through one of two adapters:
+//!
+//! - [`run_batch`] — jobs with panic isolation, one retry of transient
+//!   failures, and a tally: `scd serve`'s batches and the sweep's cell
+//!   matrix (each unique cell is a [`JobSpec`] run by [`simulate_job`]);
+//! - [`parallel_map`] — a plain order-preserving map for fan-outs that
+//!   are not cached jobs (the oracle and fault-check matrices, `scd
+//!   fuzz`).
+//!
+//! The pool's rules are what make interruption safe:
 //!
 //! - workers check the interrupt flag *before* claiming an index, and
 //!   the shared cursor hands indices out monotonically — so the claimed
-//!   set is always a contiguous prefix and every unclaimed job is
-//!   reported [`JobOutcome::Cancelled`] rather than silently dropped;
-//! - in-flight jobs run to completion (and commit their cache entries)
-//!   before the drain finishes, so an interrupted batch resumes as
-//!   cache hits.
+//!   set is always a contiguous prefix and every unclaimed item is
+//!   reported cancelled rather than silently dropped;
+//! - results cross a bounded channel (a consumer that falls behind
+//!   stalls the pool) into a reorder buffer, so they surface in input
+//!   order whatever the thread count;
+//! - in-flight items run to completion before the pool returns, so the
+//!   finished jobs of an interrupted batch have committed their cache
+//!   entries and a rerun resumes as cache hits.
 
 use crate::cache::Cache;
 use crate::jobs::{JobDone, JobError, JobOutcome, JobSpec};
@@ -26,28 +34,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// Stride for the stat-invariant checker on traced jobs (matches the
-/// sweep driver's release-mode setting).
+/// Stride for the stat-invariant checker on traced jobs and on jobs
+/// that ask for it (`JobSpec::invariants`).
 const INVARIANT_STRIDE: u64 = 1 << 16;
-
-/// Knobs for one batch execution.
-#[derive(Debug, Clone)]
-pub struct DriverConfig {
-    /// Worker threads (clamped to at least 1).
-    pub threads: usize,
-    /// Per-job wall-clock watchdog, enforced inside the simulator on
-    /// top of any cycle budget the job itself carries.
-    pub job_timeout: Option<Duration>,
-}
-
-impl Default for DriverConfig {
-    fn default() -> Self {
-        DriverConfig {
-            threads: 1,
-            job_timeout: None,
-        }
-    }
-}
 
 /// What a finished batch looked like.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -68,14 +57,78 @@ impl BatchSummary {
 }
 
 /// Extracts a printable message from a panic payload (the
-/// `catch_unwind` error value). Shared with `scd-bench`'s sweep pool so
-/// both report worker panics the same way.
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// `catch_unwind` error value).
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<String>()
         .cloned()
         .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
         .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// The pool: runs `work` on every item on up to `threads` scoped
+/// workers and hands each result to `emit` **in input order**, with
+/// `None` for an item never claimed because `interrupt` was raised
+/// first. `work` must not unwind; both adapters catch panics inside it.
+fn stream_in_order<T, U, W>(
+    items: &[T],
+    threads: usize,
+    interrupt: &AtomicBool,
+    work: W,
+    mut emit: impl FnMut(usize, Option<U>),
+) where
+    T: Sync,
+    U: Send,
+    W: Fn(&T) -> U + Sync,
+{
+    let threads = threads.clamp(1, items.len().max(1));
+    if threads == 1 {
+        for (i, item) in items.iter().enumerate() {
+            let out = (!interrupt.load(Ordering::SeqCst)).then(|| work(item));
+            emit(i, out);
+        }
+        return;
+    }
+
+    let cursor = AtomicUsize::new(0);
+    // Bounded: a consumer that falls behind stalls the pool instead of
+    // letting results pile up unboundedly.
+    let (tx, rx) = mpsc::sync_channel::<(usize, U)>(2 * threads);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            let tx = tx.clone();
+            let (cursor, work) = (&cursor, &work);
+            s.spawn(move || loop {
+                if interrupt.load(Ordering::SeqCst) {
+                    break;
+                }
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                if tx.send((i, work(item))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+
+        // Reorder: results surface in input order no matter which
+        // worker finished first.
+        let mut next = 0usize;
+        let mut pending = BTreeMap::new();
+        for (i, out) in rx {
+            pending.insert(i, out);
+            while let Some(out) = pending.remove(&next) {
+                emit(next, Some(out));
+                next += 1;
+            }
+        }
+        // Claims are a contiguous prefix (interrupt is checked before
+        // each claim), so everything left is unclaimed.
+        debug_assert!(pending.is_empty(), "non-contiguous claim set");
+        for i in next..items.len() {
+            emit(i, None);
+        }
+    });
 }
 
 /// Runs `runner` once per job on `threads` workers, delivering every
@@ -117,70 +170,51 @@ where
     };
 
     let mut summary = BatchSummary::default();
-    let mut tally = |o: &JobOutcome| match o {
-        JobOutcome::Done(_) => summary.ok += 1,
-        JobOutcome::Failed { .. } => summary.failed += 1,
-        JobOutcome::Cancelled => summary.cancelled += 1,
-    };
-
-    let threads = threads.clamp(1, jobs.len().max(1));
-    if threads == 1 {
-        for (i, job) in jobs.iter().enumerate() {
-            let outcome = if interrupt.load(Ordering::SeqCst) {
-                JobOutcome::Cancelled
-            } else {
-                attempt(job)
-            };
-            tally(&outcome);
-            emit(i, job, &outcome);
+    stream_in_order(jobs, threads, interrupt, attempt, |i, outcome| {
+        let outcome = outcome.unwrap_or(JobOutcome::Cancelled);
+        match &outcome {
+            JobOutcome::Done(_) => summary.ok += 1,
+            JobOutcome::Failed { .. } => summary.failed += 1,
+            JobOutcome::Cancelled => summary.cancelled += 1,
         }
-        return summary;
-    }
-
-    let cursor = AtomicUsize::new(0);
-    // Bounded: a consumer that falls behind stalls the pool instead of
-    // letting results pile up unboundedly.
-    let (tx, rx) = mpsc::sync_channel::<(usize, JobOutcome)>(2 * threads);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let attempt = &attempt;
-            s.spawn(move || loop {
-                if interrupt.load(Ordering::SeqCst) {
-                    break;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                if tx.send((i, attempt(job))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-
-        // Reorder: outcomes surface in input order no matter which
-        // worker finished first.
-        let mut next = 0usize;
-        let mut pending = BTreeMap::new();
-        for (i, outcome) in rx {
-            pending.insert(i, outcome);
-            while let Some(outcome) = pending.remove(&next) {
-                tally(&outcome);
-                emit(next, &jobs[next], &outcome);
-                next += 1;
-            }
-        }
-        // Claims are a contiguous prefix (interrupt is checked before
-        // each claim), so everything left is unclaimed → cancelled.
-        debug_assert!(pending.is_empty(), "non-contiguous claim set");
-        for (i, job) in jobs.iter().enumerate().skip(next) {
-            let outcome = JobOutcome::Cancelled;
-            tally(&outcome);
-            emit(i, job, &outcome);
-        }
+        emit(i, &jobs[i], &outcome);
     });
     summary
+}
+
+/// Order-preserving parallel map over a slice on the same pool: `f` on
+/// every item on up to `threads` workers (`threads <= 1` maps
+/// sequentially on the calling thread), results in input order.
+///
+/// # Panics
+/// Re-raises the first worker panic — but only after every other item
+/// has completed, so one bad item does not discard the rest of the
+/// computation mid-flight.
+pub fn parallel_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> U + Sync,
+{
+    let mut results = Vec::with_capacity(items.len());
+    let mut first_panic = None;
+    let work = |item: &T| catch_unwind(AssertUnwindSafe(|| f(item))).map_err(panic_message);
+    stream_in_order(
+        items,
+        threads,
+        &AtomicBool::new(false),
+        work,
+        |_, out| match out.expect("the interrupt flag is never raised") {
+            Ok(v) => results.push(v),
+            Err(msg) => {
+                first_panic.get_or_insert(msg);
+            }
+        },
+    );
+    match first_panic {
+        None => results,
+        Some(msg) => panic!("parallel_map worker panicked: {msg}"),
+    }
 }
 
 /// The cache manifest for `req` widened with the trace discriminator —
@@ -194,8 +228,8 @@ pub fn manifest_for(req: &RunRequest<'_>, traced: bool) -> String {
 }
 
 /// Runs one job for real: cache lookup, simulate + oracle-validate on
-/// miss, cache store. This is the `runner` the `scd serve` subcommand
-/// passes to [`run_batch`].
+/// miss, cache store. This is the `runner` both `scd serve` and the
+/// sweep pass to [`run_batch`].
 ///
 /// # Errors
 /// [`JobError`] describing the failure; [`JobError::Io`] (a failed
@@ -274,13 +308,15 @@ fn compute_job(job: &JobSpec, timeout: Option<Duration>) -> Result<CachedRun, Jo
             };
             return Ok(CachedRun::from_run(&run, None));
         }
-        if job.traced {
+        if job.traced || job.invariants {
             m.enable_invariants(INVARIANT_STRIDE);
-            m.set_trace_sink(Box::new(CycleBreakdown::default()));
         } else {
             // Uninstrumented: keep the fast loop (debug builds otherwise
             // auto-arm the invariant observer).
             m.disable_invariants();
+        }
+        if job.traced {
+            m.set_trace_sink(Box::new(CycleBreakdown::default()));
         }
         if let Some(t) = timeout {
             m.set_wall_budget(t);
@@ -334,6 +370,7 @@ mod tests {
             opts: GuestOptions::default(),
             traced: false,
             sample: None,
+            invariants: false,
         }
     }
 
@@ -530,6 +567,68 @@ mod tests {
                 "job {i} in the cancelled suffix"
             );
         }
+    }
+
+    #[test]
+    fn parallel_map_is_order_preserving() {
+        let items: Vec<u64> = (0..97).collect();
+        let seq: Vec<u64> = items.iter().map(|x| x * x).collect();
+        for threads in [1, 2, 7] {
+            assert_eq!(parallel_map(&items, threads, |x| x * x), seq);
+        }
+    }
+
+    #[test]
+    fn parallel_map_finishes_other_items_before_reraising() {
+        let items: Vec<u64> = (0..8).collect();
+        let completed = AtomicUsize::new(0);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            parallel_map(&items, 4, |&x| {
+                if x == 3 {
+                    panic!("injected cell failure");
+                }
+                completed.fetch_add(1, Ordering::SeqCst);
+                x
+            })
+        }))
+        .expect_err("the worker panic must surface");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains("injected cell failure"),
+            "message preserved: {msg}"
+        );
+        assert_eq!(
+            completed.load(Ordering::SeqCst),
+            7,
+            "the other items still ran"
+        );
+    }
+
+    /// A cache entry whose payload nests far past any schema (its
+    /// checksum is valid, so only the decoder can reject it) is a miss:
+    /// the job recomputes and overwrites it, with no panic.
+    #[test]
+    fn deeply_nested_cached_payload_recomputes() {
+        let dir = std::env::temp_dir().join(format!("scd-driver-deep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Cache::open(&dir).expect("open cache");
+        let j = job("deep");
+        let key = Cache::key(&j.cache_manifest());
+        let deep = format!(
+            "{{\"v\":{}{}}}",
+            "[".repeat(1_000_000),
+            "]".repeat(1_000_000)
+        );
+        cache.store(&key, deep.as_bytes()).expect("store");
+
+        let done = simulate_job(&j, Some(&cache), None).expect("recomputes");
+        assert!(!done.cached, "an undecodable entry is a miss");
+        let fresh = simulate_job(&j, None, None).expect("runs uncached");
+        assert_eq!(done.run, fresh.run);
+        let again = simulate_job(&j, Some(&cache), None).expect("hits");
+        assert!(again.cached, "the recomputed entry replaced the bad one");
+        assert_eq!(again.run, done.run);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -52,6 +52,11 @@ pub struct JobSpec {
     pub traced: bool,
     /// Interval-sampling plan (`None` runs full detail).
     pub sample: Option<SamplingPlan>,
+    /// Arm the stat-invariant checker on a full-detail run even when it
+    /// is untraced (traced runs always arm it). Library clients set it
+    /// (`sweep --smoke`); it is neither read from a jobs file nor part
+    /// of the cache manifest, because the checker changes no counter.
+    pub invariants: bool,
 }
 
 impl JobSpec {
@@ -162,6 +167,7 @@ impl JobSpec {
             opts,
             traced,
             sample,
+            invariants: false,
         })
     }
 
@@ -413,6 +419,20 @@ mod tests {
         ] {
             assert!(JobSpec::parse(line, 1).is_err(), "must reject: {why}");
         }
+    }
+
+    #[test]
+    fn deeply_nested_job_line_is_a_typed_error() {
+        let line = format!(
+            "{{\"vm\":{}{}}}",
+            "[".repeat(1_000_000),
+            "]".repeat(1_000_000)
+        );
+        let err = parse_jobs(&line).expect_err("must reject");
+        assert!(
+            err.starts_with("line 1: ") && err.contains("nesting deeper"),
+            "{err}"
+        );
     }
 
     #[test]

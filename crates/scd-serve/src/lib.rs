@@ -13,32 +13,33 @@
 //!   length-and-checksum header; corruption quarantines and recomputes,
 //!   a killed writer's leftovers are swept on the next open. Crashes
 //!   and bit rot cost time, never correctness and never a panic.
-//! - **[`driver`]** — a panic-isolated worker pool that streams job
-//!   outcomes in input order with backpressure, retries transient
-//!   failures once, enforces a per-job wall-clock watchdog through the
-//!   simulator's own budget mechanism, and drains in-flight jobs on
-//!   interrupt so a Ctrl-C'd batch resumes as cache hits.
+//! - **[`driver`]** — the workspace's one worker pool ([`run_batch`],
+//!   [`parallel_map`]) and its one job runner ([`simulate_job`]):
+//!   outcomes stream in input order, panics are isolated, transient
+//!   failures retry once, and an interrupted batch resumes as cache hits.
 //!
 //! The `scd serve --jobs file.jsonl` subcommand is the CLI client; the
-//! sweep driver in `scd-bench` is the library client (opt-in
-//! `--cache DIR`). Both derive keys through [`driver::manifest_for`],
-//! so their entries interoperate: a sweep warms the cache for serve
-//! jobs and vice versa.
+//! sweep driver in `scd-bench` is the library client, running each
+//! unique cell as a [`JobSpec`] (opt-in `--cache DIR`). One runner
+//! means one key derivation ([`driver::manifest_for`]), so a sweep
+//! warms the cache for serve jobs and vice versa.
 //!
 //! Everything is hand-rolled on `std` only (the workspace builds
-//! offline): [`sha256`] for keys, [`json`] for job files and payloads,
-//! [`signal`] for SIGINT-as-a-flag via the already-linked libc.
+//! offline): [`sha256`] for keys, [`json`] (shared with `scd-sim`'s
+//! trace reader) for job files and payloads, [`signal`] for
+//! SIGINT-as-a-flag via the already-linked libc.
 
 pub mod cache;
 pub mod driver;
 pub mod jobs;
-pub mod json;
+/// The workspace's one JSON parser, kept here under its old path.
+pub use scd_sim::json;
 pub mod payload;
 pub mod sha256;
 pub mod signal;
 
 pub use cache::{Cache, CacheStats};
-pub use driver::{manifest_for, panic_message, run_batch, simulate_job, BatchSummary, DriverConfig};
+pub use driver::{manifest_for, parallel_map, run_batch, simulate_job, BatchSummary};
 pub use jobs::{parse_jobs, render_result, JobDone, JobError, JobOutcome, JobSpec};
 pub use payload::CachedRun;
 pub use signal::{install_sigint_flag, EXIT_SIGINT};

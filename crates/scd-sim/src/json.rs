@@ -3,8 +3,8 @@
 //! renderers share.
 //!
 //! The workspace is deliberately serde-free (it must build offline), so
-//! job files and cache payloads go through this module. Two properties
-//! matter and shape the design:
+//! trace files, job files and cache payloads all go through this one
+//! module. Three properties matter and shape the design:
 //!
 //! - **u64 exactness.** Simulator counters are `u64` and can exceed
 //!   2^53, where `f64` loses integers. [`Value::Num`] therefore keeps
@@ -13,8 +13,16 @@
 //! - **Totality.** Parsing is a typed `Result` — a truncated or
 //!   corrupted payload must surface as a decode error the cache can
 //!   quarantine, never a panic.
+//! - **Bounded recursion.** Arrays and objects may nest at most
+//!   [`MAX_DEPTH`] levels; deeper input is a typed error instead of a
+//!   stack overflow that aborts the process.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`parse`] accepts. Every schema in the
+/// workspace nests at most four levels; the bound only has to keep the
+/// recursive descent far from the end of a worker thread's stack.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,14 +89,23 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The value's fields, in source order.
+    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
+        match self {
+            Value::Obj(fields) => Some(fields),
+            _ => None,
+        }
+    }
 }
 
 /// Parses one complete JSON document; trailing non-whitespace is an
-/// error (a concatenated or truncated-and-glued payload must not pass).
+/// error (a concatenated or truncated-and-glued payload must not pass),
+/// and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!("trailing garbage at byte {}", p.pos));
@@ -130,10 +147,14 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    /// Parses one value; `depth` counts the arrays and objects around it.
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
+        if depth >= MAX_DEPTH && matches!(self.peek(), Some(b'{' | b'[')) {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+        }
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -144,7 +165,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self, depth: usize) -> Result<Value, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -158,7 +179,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let v = self.value()?;
+            let v = self.value(depth)?;
             fields.push((key, v));
             self.skip_ws();
             match self.peek() {
@@ -172,7 +193,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self, depth: usize) -> Result<Value, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -182,7 +203,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -360,6 +381,14 @@ mod tests {
     fn surrogate_pair_escape() {
         assert_eq!(parse(r#""😀""#).unwrap().as_str(), Some("\u{1F600}"));
         assert!(parse(r#""\ud83d""#).is_err(), "lone high surrogate must fail");
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.contains("nesting deeper"), "typed message: {err}");
     }
 
     #[test]

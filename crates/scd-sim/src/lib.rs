@@ -33,6 +33,7 @@ pub mod cache;
 pub mod config;
 pub mod fault;
 pub mod ittage;
+pub mod json;
 pub mod lockstep;
 pub mod machine;
 pub mod mem;
@@ -59,7 +60,7 @@ pub use machine::{
 pub use mem::{MemFault, Memory};
 pub use predictor::{Direction, DirectionConfig, Ras};
 pub use sampling::{mean_ci95, ExecMode, SampleAccum, SampleReport, SamplingPlan};
-pub use snapshot::{Snapshot, SnapshotError};
+pub use snapshot::{fnv1a, Snapshot, SnapshotError, FNV_OFFSET};
 pub use stats::{geomean, AccessCounters, BranchClass, BranchCounters, SimStats};
 pub use tlb::Tlb;
 pub use trace::{

@@ -241,11 +241,14 @@ pub(crate) fn check(ok: bool, what: &str) -> Result<(), SnapshotError> {
     }
 }
 
-/// FNV-1a offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis: the `init` that starts a fresh [`fnv1a`] hash.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// One FNV-1a folding step over a byte slice, chained via `init`.
-pub(crate) fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
+/// One FNV-1a folding step over a byte slice, chained via `init`: the
+/// workspace's one non-cryptographic digest (snapshot fingerprints,
+/// result-cache entry checksums). An integrity check against torn
+/// writes and bit rot, not an authenticity one.
+pub fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
     let mut h = init;
     for &b in bytes {
         h ^= b as u64;
@@ -343,6 +346,16 @@ pub(crate) fn stats_from_words(c: &mut Cursor) -> Result<SimStats, SnapshotError
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_standard_vector() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), FNV_OFFSET);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"fo"), b"o"),
+            fnv1a(FNV_OFFSET, b"foo")
+        );
+    }
 
     #[test]
     fn byte_roundtrip() {

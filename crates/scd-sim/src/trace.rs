@@ -29,6 +29,7 @@
 
 use crate::btb::{EntryKind, InsertOutcome};
 use crate::fault::{FaultEvent, FaultKind};
+use crate::json::{self, Value};
 use crate::stats::{BranchClass, SimStats};
 use scd_isa::Inst;
 
@@ -752,7 +753,7 @@ impl TraceEvent {
             class,
             cycle: get_num(obj, "cycle")?,
             cycles: get_num(obj, "cycles")?,
-            dispatch: get(obj, "dispatch").map_or(Ok(false), json::Value::as_bool_or_err)?,
+            dispatch: get_flag(obj, "dispatch")?,
             fetch: FetchAccess::default(),
             data: None,
             branch: None,
@@ -914,33 +915,24 @@ fn json_l2(out: &mut String, first: &mut bool, l2: Option<L2Access>) {
     }
 }
 
-type Obj = [(String, json::Value)];
+type Obj = [(String, Value)];
 
-fn get<'a>(obj: &'a Obj, name: &str) -> Option<&'a json::Value> {
+fn get<'a>(obj: &'a Obj, name: &str) -> Option<&'a Value> {
     obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
 }
 
-fn get_num(obj: &Obj, name: &str) -> Result<u64, String> {
+fn get_opt_num(obj: &Obj, name: &str) -> Result<Option<u64>, String> {
     get(obj, name)
-        .ok_or_else(|| format!("missing field {name:?}"))?
-        .as_num()
-        .ok_or_else(|| format!("field {name:?} must be a number"))
+        .map(|v| v.as_u64().ok_or_else(|| format!("field {name:?} must be a number")))
+        .transpose()
+}
+
+fn get_num(obj: &Obj, name: &str) -> Result<u64, String> {
+    get_opt_num(obj, name)?.ok_or_else(|| format!("missing field {name:?}"))
 }
 
 fn get_num_or_zero(obj: &Obj, name: &str) -> Result<u64, String> {
-    match get(obj, name) {
-        None => Ok(0),
-        Some(v) => v.as_num().ok_or_else(|| format!("field {name:?} must be a number")),
-    }
-}
-
-fn get_opt_num(obj: &Obj, name: &str) -> Result<Option<u64>, String> {
-    match get(obj, name) {
-        None => Ok(None),
-        Some(v) => {
-            v.as_num().map(Some).ok_or_else(|| format!("field {name:?} must be a number"))
-        }
-    }
+    Ok(get_opt_num(obj, name)?.unwrap_or(0))
 }
 
 fn get_flag(obj: &Obj, name: &str) -> Result<bool, String> {
@@ -963,195 +955,6 @@ fn get_l2(obj: &Obj) -> Result<Option<L2Access>, String> {
         Some(v) => {
             let o = v.as_obj().ok_or("l2 must be an object")?;
             Ok(Some(L2Access { miss: get_flag(o, "miss")?, writeback: get_flag(o, "writeback")? }))
-        }
-    }
-}
-
-/// Minimal JSON reader for the trace schema: objects, arrays, strings
-/// without escapes beyond `\"` and `\\`, unsigned integers, booleans and
-/// null. Not a general-purpose parser.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Unsigned integer (the only numbers the schema uses).
-        Num(u64),
-        /// String.
-        Str(String),
-        /// Array.
-        Arr(Vec<Value>),
-        /// Object, in source order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(o) => Some(o),
-                _ => None,
-            }
-        }
-
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-
-        pub fn as_num(&self) -> Option<u64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-
-        pub fn as_bool_or_err(&self) -> Result<bool, String> {
-            self.as_bool().ok_or_else(|| "expected a bool".to_string())
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(s: &str) -> Result<Value, String> {
-        let b = s.as_bytes();
-        let mut pos = 0;
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing input at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            None => Err("unexpected end of input".into()),
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = match value(b, pos)? {
-                        Value::Str(s) => s,
-                        _ => return Err(format!("object key must be a string at byte {pos}")),
-                    };
-                    skip_ws(b, pos);
-                    if b.get(*pos) != Some(&b':') {
-                        return Err(format!("expected ':' at byte {pos}"));
-                    }
-                    *pos += 1;
-                    fields.push((key, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => {
-                *pos += 1;
-                let mut s = String::new();
-                loop {
-                    match b.get(*pos) {
-                        None => return Err("unterminated string".into()),
-                        Some(b'"') => {
-                            *pos += 1;
-                            return Ok(Value::Str(s));
-                        }
-                        Some(b'\\') => {
-                            *pos += 1;
-                            match b.get(*pos) {
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                _ => return Err(format!("unsupported escape at byte {pos}")),
-                            }
-                            *pos += 1;
-                        }
-                        Some(&c) => {
-                            s.push(c as char);
-                            *pos += 1;
-                        }
-                    }
-                }
-            }
-            Some(b't') if b[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if b[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') if b[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Value::Null)
-            }
-            Some(c) if c.is_ascii_digit() => {
-                let start = *pos;
-                while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-                    *pos += 1;
-                }
-                std::str::from_utf8(&b[start..*pos])
-                    .unwrap()
-                    .parse()
-                    .map(Value::Num)
-                    .map_err(|e| format!("bad number at byte {start}: {e}"))
-            }
-            Some(c) => Err(format!("unexpected byte {c:?} at {pos}")),
         }
     }
 }
@@ -1626,6 +1429,13 @@ mod tests {
         )
         .is_err());
         assert!(TraceEvent::from_json("{\"seq\":0}{").is_err()); // trailing
+    }
+
+    #[test]
+    fn deeply_nested_line_is_a_typed_error() {
+        let deep = format!("{{\"inserts\":{}{}}}", "[".repeat(1_000_000), "]".repeat(1_000_000));
+        let err = TraceEvent::from_json(&deep).expect_err("must not parse");
+        assert!(err.contains("nesting deeper"), "typed message: {err}");
     }
 
     #[test]

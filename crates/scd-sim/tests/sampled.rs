@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use scd_isa::{Asm, Inst, LoadOp, Program, Reg};
-use scd_sim::{Machine, SamplingPlan, SimConfig, SimError};
+use scd_sim::{fnv1a, Machine, SamplingPlan, SimConfig, SimError, FNV_OFFSET};
 
 /// A bytecode interpreter with `n` dispatches: fills an array with
 /// alternating opcodes 0/1 (terminator 2), then dispatches through a
@@ -256,13 +256,6 @@ fn strider_program(rows: i64, stride: i64) -> Program {
     a.finish().expect("assemble")
 }
 
-/// FNV-1a over a snapshot's bytes: a compact end-state fingerprint.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}
-
 /// Per-structure warming windows, pinned: sampled runs under split
 /// plans (each structure class's gate opening at a different point of
 /// the warm leg, covering the direction-only and BTB-only branch arms)
@@ -299,7 +292,7 @@ fn golden_split_and_uniform_windows() {
             "{plan} (flush {flush:?})"
         );
         assert_eq!(
-            fnv1a(&m.snapshot().to_bytes()),
+            fnv1a(FNV_OFFSET, &m.snapshot().to_bytes()),
             digest,
             "{plan} (flush {flush:?}): end-state snapshot"
         );
