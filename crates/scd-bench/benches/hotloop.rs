@@ -6,7 +6,7 @@
 //! monomorphization; `simperf` measures the same effect wall-to-wall.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use scd_guest::{GuestOptions, Scheme, Session, Vm};
+use scd_guest::{RunRequest, Scheme, Session, Vm};
 use scd_sim::{CycleBreakdown, SimConfig, SimError};
 use std::hint::black_box;
 
@@ -28,15 +28,11 @@ fn session(scheme: Scheme) -> Session {
     // N is far larger than any bench will consume, so the guest never
     // halts mid-measurement and every iteration runs exactly STEP
     // instructions of steady-state interpreter loop.
-    Session::from_source(
-        SimConfig::embedded_a5(),
-        Vm::Lvm,
-        SRC,
-        &[("N", 1e15)],
-        scheme,
-        GuestOptions::default(),
-    )
-    .expect("build session")
+    RunRequest::new(SimConfig::embedded_a5(), Vm::Lvm, SRC)
+        .predefined(&[("N", 1e15)])
+        .scheme(scheme)
+        .session()
+        .expect("build session")
 }
 
 /// Advances the machine by STEP instructions; the instruction limit is
@@ -74,9 +70,7 @@ fn bench_machine_build(c: &mut Criterion) {
     // Session construction compiles the guest, decodes the program
     // (once, behind an Arc), builds the machine, and rebuilds the
     // static side-table for the scheme's annotations.
-    g.bench_function("session_from_source", |b| {
-        b.iter(|| black_box(session(Scheme::Scd)))
-    });
+    g.bench_function("session", |b| b.iter(|| black_box(session(Scheme::Scd))));
     g.finish();
 }
 

@@ -4,7 +4,7 @@
 //! the paper-figure harness binaries do the heavy sweeps).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use scd_guest::{run_source, GuestOptions, Scheme, Vm};
+use scd_guest::{RunRequest, Scheme, Vm};
 use scd_sim::SimConfig;
 use std::hint::black_box;
 
@@ -36,16 +36,11 @@ fn bench_simulated(c: &mut Criterion) {
             g.bench_function(format!("{}/{}", vm.name(), scheme.name()), |b| {
                 b.iter(|| {
                     black_box(
-                        run_source(
-                            SimConfig::embedded_a5(),
-                            vm,
-                            SRC,
-                            &[("N", 500.0)],
-                            scheme,
-                            GuestOptions::default(),
-                            u64::MAX,
-                        )
-                        .unwrap(),
+                        RunRequest::new(SimConfig::embedded_a5(), vm, SRC)
+                            .predefined(&[("N", 500.0)])
+                            .scheme(scheme)
+                            .run()
+                            .unwrap(),
                     )
                 })
             });

@@ -27,7 +27,7 @@
 //! writes (the v3 warming-engine block) are ignored.
 
 use luma::scripts::BENCHMARKS;
-use scd_guest::{GuestOptions, Scheme, Session, Vm};
+use scd_guest::{RunRequest, Scheme, Vm};
 use scd_sim::{geomean, SimConfig, SimError};
 use std::fmt::Write as _;
 use std::process::exit;
@@ -101,14 +101,11 @@ fn main() {
                     .expect("pinned benchmark");
                 for scheme in Scheme::ALL {
                     let key = format!("{}/{}/{name}/{}", cfg.name, vm.name(), scheme.name());
-                    let mut session = match Session::from_source(
-                        cfg.clone(),
-                        vm,
-                        b.source,
-                        &[("N", b.sim_arg)],
-                        scheme,
-                        GuestOptions::default(),
-                    ) {
+                    let mut session = match RunRequest::new(cfg.clone(), vm, b.source)
+                        .predefined(&[("N", b.sim_arg)])
+                        .scheme(scheme)
+                        .session()
+                    {
                         Ok(s) => s,
                         Err(e) => {
                             eprintln!("  {key}: FAILED to load: {e}");

@@ -230,6 +230,15 @@ fn run_with_checkpoints(
     }
 }
 
+/// The exit code of a run that ended in `e`.
+fn exit_class(e: &GuestError) -> i32 {
+    match e {
+        GuestError::Sim(SimError::Watchdog { .. }) => EXIT_WATCHDOG,
+        GuestError::Sim(_) => EXIT_GUEST_TRAP,
+        GuestError::ChecksumMismatch { .. } | GuestError::DispatchMismatch { .. } => EXIT_INVARIANT,
+    }
+}
+
 fn print_header(o: &Opts) {
     println!("config        : {}", o.cfg.name);
     println!("vm / scheme   : {} / {}", o.vm.name(), o.scheme.name());
@@ -269,7 +278,8 @@ fn cmd_run(o: Opts) {
 
     let req = RunRequest::new(o.cfg.clone(), o.vm, &src)
         .predefined(&args)
-        .scheme(o.scheme);
+        .scheme(o.scheme)
+        .sample(o.sample);
     let mut session = match req.session() {
         Ok(s) => s,
         Err(e) => {
@@ -298,7 +308,7 @@ fn cmd_run(o: Opts) {
     }
     if let Some(plan) = &o.sample {
         session.machine.disable_invariants();
-        match session.run_sampled_and_validate(u64::MAX, plan) {
+        match session.run_and_validate() {
             Ok(run) => {
                 let r = run.sample.as_ref().expect("sampled run carries a report");
                 print_header(&o);
@@ -321,13 +331,7 @@ fn cmd_run(o: Opts) {
             }
             Err(e) => {
                 eprintln!("error: {e}");
-                exit(match &e {
-                    GuestError::Sim(SimError::Watchdog { .. }) => EXIT_WATCHDOG,
-                    GuestError::Sim(_) => EXIT_GUEST_TRAP,
-                    GuestError::ChecksumMismatch { .. } | GuestError::DispatchMismatch { .. } => {
-                        EXIT_INVARIANT
-                    }
-                });
+                exit(exit_class(&e));
             }
         }
         return;
@@ -376,13 +380,7 @@ fn cmd_run(o: Opts) {
             print_header(&o);
             print_stats(&o, &session.machine.stats);
             eprintln!("error: {e}");
-            exit(match &e {
-                GuestError::Sim(SimError::Watchdog { .. }) => EXIT_WATCHDOG,
-                GuestError::Sim(_) => EXIT_GUEST_TRAP,
-                GuestError::ChecksumMismatch { .. } | GuestError::DispatchMismatch { .. } => {
-                    EXIT_INVARIANT
-                }
-            });
+            exit(exit_class(&e));
         }
         Err(payload) => {
             let msg = payload

@@ -97,7 +97,8 @@ impl std::error::Error for DifferentialError {}
 /// window is dumped next to the error. Timing statistics are allowed —
 /// expected, even — to differ: a lost JTE sends its dispatch down the
 /// slow path, so the faulted run retires *at least* as many instructions
-/// as the clean one.
+/// as the clean one. `req` must run in full detail (`sample: None`):
+/// both runs carry per-retirement observers, which sampled runs refuse.
 ///
 /// # Errors
 /// Returns a [`DifferentialError`] describing the first failed stage.
@@ -115,7 +116,7 @@ pub fn differential_check(
     let mut clean = req.session().map_err(DifferentialError::Setup)?;
     clean.machine.set_trace_sink(Box::new(LockstepSink::new(&clean.machine)));
     let clean_run =
-        clean.run_and_validate(max_insts).map_err(|e| DifferentialError::Clean(e.to_string()))?;
+        clean.run_and_validate().map_err(|e| DifferentialError::Clean(e.to_string()))?;
     if let Some(sink) = clean
         .machine
         .take_trace_sink()

@@ -11,19 +11,16 @@
 //! `scd-sim`, validating every run bit-for-bit against the host oracle.
 //!
 //! ```
-//! use scd_guest::{run_source, GuestOptions, Scheme, Vm};
+//! use scd_guest::{RunRequest, Scheme, Vm};
 //! use scd_sim::SimConfig;
 //!
 //! # fn main() -> Result<(), String> {
-//! let run = run_source(
-//!     SimConfig::embedded_a5(),
-//!     Vm::Lvm,
-//!     "var s = 0; for i = 1, N { s = s + i; } emit(s);",
-//!     &[("N", 100.0)],
-//!     Scheme::Scd,
-//!     GuestOptions::default(),
-//!     10_000_000,
-//! )?;
+//! let src = "var s = 0; for i = 1, N { s = s + i; } emit(s);";
+//! let run = RunRequest::new(SimConfig::embedded_a5(), Vm::Lvm, src)
+//!     .predefined(&[("N", 100.0)])
+//!     .scheme(Scheme::Scd)
+//!     .max_insts(10_000_000)
+//!     .run()?;
 //! assert!(run.stats.bop_hits > 0); // short-circuited dispatches
 //! # Ok(())
 //! # }
@@ -42,8 +39,5 @@ pub use differential::{differential_check, DifferentialError, DifferentialReport
 pub use layout::{build_lvm_image, build_svm_image, Image};
 pub use lvm::build_lvm_guest;
 pub use oracle::{lockstep_check, LockstepReport};
-pub use runner::{
-    run_lvm, run_lvm_with, run_source, run_source_with, run_svm, run_svm_with, GuestError,
-    GuestRun, RunRequest, Session, Vm,
-};
+pub use runner::{GuestError, GuestRun, RunRequest, Session, Vm};
 pub use svm::build_svm_guest;

@@ -9,13 +9,13 @@
 //! cannot push it off that baseline.
 
 use crate::runner::{GuestRun, RunRequest};
-use scd_sim::LockstepSink;
+use scd_sim::{downcast_sink, LockstepSink};
 
 /// A passed lockstep check.
 #[derive(Debug)]
 pub struct LockstepReport {
     /// The validated guest run (checksum already checked by the host
-    /// oracle inside [`RunRequest::run_with`]'s validation).
+    /// oracle in [`Session::validate`](crate::Session::validate)).
     pub run: GuestRun,
     /// Retired instructions compared bit-for-bit against the reference.
     pub checked: u64,
@@ -28,9 +28,14 @@ pub struct LockstepReport {
 /// A human-readable message: guest setup/validation failure, or the first
 /// lockstep divergence (with a trace-window dump path when writable).
 pub fn lockstep_check(req: &RunRequest<'_>) -> Result<LockstepReport, String> {
-    let mut run = req.run_with(|m| m.set_trace_sink(Box::new(LockstepSink::new(m))))?;
-    let sink = run
-        .take_sink::<LockstepSink>()
+    let mut session = req.session()?;
+    let m = &mut session.machine;
+    m.set_trace_sink(Box::new(LockstepSink::new(m)));
+    let run = session.run_and_validate().map_err(|e| e.to_string())?;
+    let sink = session
+        .machine
+        .take_trace_sink()
+        .and_then(downcast_sink::<LockstepSink>)
         .ok_or("lockstep sink went missing (machine replaced its tracer?)")?;
     if let Some(d) = sink.divergence() {
         let mut msg = d.to_string();

@@ -5,10 +5,7 @@ use crate::common::{Guest, GuestOptions, Scheme};
 use crate::layout::{self, Image};
 use luma::lvm::LvmProgram;
 use luma::svm::SvmProgram;
-use scd_sim::{
-    downcast_sink, Exit, Machine, SampleReport, SamplingPlan, SimConfig, SimError, SimStats,
-    TraceSink,
-};
+use scd_sim::{Exit, Machine, SampleReport, SamplingPlan, SimConfig, SimError, SimStats};
 use std::fmt;
 
 /// Which guest VM to run.
@@ -77,6 +74,7 @@ impl From<SimError> for GuestError {
 }
 
 /// Result of a validated guest run.
+#[derive(Debug)]
 pub struct GuestRun {
     /// The `emit` checksum computed by the guest.
     pub checksum: u64,
@@ -84,36 +82,10 @@ pub struct GuestRun {
     pub dispatches: u64,
     /// Full simulator statistics.
     pub stats: SimStats,
-    /// The trace sink the setup hook installed, handed back with its
-    /// accumulated state once the machine is done with it (`None` when
-    /// no sink was installed, or when the caller still holds the
-    /// [`Session`] and can take it from the machine directly). Owned,
-    /// not shared: this is what lets traced runs execute on worker
-    /// threads.
-    pub sink: Option<Box<dyn TraceSink>>,
     /// Sampling metadata when the run executed in sampled mode (`stats`
     /// then holds the scaled estimate; checksum and dispatch count stay
     /// exact either way).
     pub sample: Option<SampleReport>,
-}
-
-impl GuestRun {
-    /// Takes the run's sink back as its concrete type (consuming the
-    /// sink either way — see [`downcast_sink`]).
-    pub fn take_sink<T: TraceSink>(&mut self) -> Option<Box<T>> {
-        self.sink.take().and_then(downcast_sink::<T>)
-    }
-}
-
-impl fmt::Debug for GuestRun {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("GuestRun")
-            .field("checksum", &self.checksum)
-            .field("dispatches", &self.dispatches)
-            .field("stats", &self.stats)
-            .field("sink", &self.sink.as_ref().map(|_| "<trace sink>"))
-            .finish()
-    }
 }
 
 /// Builds a machine with the guest interpreter installed and the
@@ -144,29 +116,6 @@ fn build_machine(cfg: SimConfig, guest: &Guest, img: &Image) -> Machine {
     m
 }
 
-fn run_image(
-    cfg: SimConfig,
-    guest: &Guest,
-    img: &Image,
-    max_insts: u64,
-    setup: impl FnOnce(&mut Machine),
-) -> Result<GuestRun, GuestError> {
-    let mut m = build_machine(cfg, guest, img);
-    setup(&mut m);
-    let exit = m.run(max_insts)?;
-    let dispatches = m
-        .mem
-        .read_u64(layout::VMCTL_BASE + layout::CTL_DISPATCH_COUNT as u64)
-        .expect("ctl mapped");
-    Ok(GuestRun {
-        checksum: exit.code,
-        dispatches,
-        stats: m.stats.clone(),
-        sink: m.take_trace_sink(),
-        sample: None,
-    })
-}
-
 /// The compiled guest program plus everything the oracle needs.
 enum Compiled {
     Lvm {
@@ -185,11 +134,12 @@ enum Compiled {
 
 /// A loaded guest run whose [`Machine`] is exposed for stepwise control.
 ///
-/// Where [`run_source`] runs a guest in one shot, a `Session` separates
-/// *loading* from *running* so the caller can install fault plans, trace
-/// sinks, watchdog budgets or checkpoints on [`Session::machine`] before
-/// (or between) runs, then have the result checked against the host
-/// oracle with [`Session::validate`].
+/// Built by [`RunRequest::session`]. A `Session` separates *loading*
+/// from *running* so the caller can install fault plans, trace sinks,
+/// watchdog budgets or checkpoints on [`Session::machine`] before (or
+/// between) runs, then have the result checked against the host oracle
+/// with [`Session::validate`] — or run the request's budget and plan in
+/// one call with [`Session::run_and_validate`].
 pub struct Session {
     /// The fully loaded simulated machine. Drive it directly:
     /// `machine.set_fault_plan(..)`, `machine.snapshot()`,
@@ -197,59 +147,38 @@ pub struct Session {
     pub machine: Machine,
     compiled: Compiled,
     opts: GuestOptions,
+    max_insts: u64,
+    sample: Option<SamplingPlan>,
 }
 
 impl Session {
-    /// Parses and compiles `src` for `vm`, builds the guest interpreter
-    /// under `scheme` and loads everything into a fresh machine.
-    ///
-    /// # Errors
-    /// Returns a string describing parse or compile errors.
-    pub fn from_source(
-        cfg: SimConfig,
-        vm: Vm,
-        src: &str,
-        predefined: &[(&str, f64)],
-        scheme: Scheme,
-        opts: GuestOptions,
-    ) -> Result<Session, String> {
-        let script = luma::parser::parse(src).map_err(|e| e.to_string())?;
-        let (compiled, img, guest) = match vm {
-            Vm::Lvm => {
-                let (p, init) =
-                    luma::lvm::compile_lvm(&script, predefined).map_err(|e| e.to_string())?;
-                let img = layout::build_lvm_image(&p, &init);
-                let guest = crate::lvm::build_lvm_guest(&img, scheme, opts);
-                (Compiled::Lvm { program: p, init }, img, guest)
-            }
-            Vm::Svm => {
-                let (p, init) =
-                    luma::svm::compile_svm(&script, predefined).map_err(|e| e.to_string())?;
-                let img = layout::build_svm_image(&p, &init);
-                let guest = crate::svm::build_svm_guest(&img, scheme, opts);
-                (Compiled::Svm { program: p, init }, img, guest)
-            }
-        };
-        Ok(Session {
-            machine: build_machine(cfg, &guest, &img),
-            compiled,
-            opts,
-        })
-    }
-
-    /// Runs the machine to completion and validates the result; the
-    /// one-shot convenience over [`Session::validate`].
+    /// Runs the machine to completion under the request's instruction
+    /// budget — sampled (fast-forward → warm → measure) when the request
+    /// carries a plan, full detail otherwise — and validates the result
+    /// with [`Session::validate`]. Checksum and dispatch count are exact
+    /// in every mode; a sampled run's `stats` hold the scaled estimate
+    /// and it carries the [`SampleReport`].
     ///
     /// # Errors
     /// Returns [`GuestError`] on simulator faults or oracle mismatches.
-    pub fn run_and_validate(&mut self, max_insts: u64) -> Result<GuestRun, GuestError> {
-        let exit = self.machine.run(max_insts)?;
-        self.validate(&exit)
+    pub fn run_and_validate(&mut self) -> Result<GuestRun, GuestError> {
+        let (exit, sample) = match self.sample {
+            None => (self.machine.run(self.max_insts)?, None),
+            Some(plan) => {
+                let (exit, report) = self.machine.run_sampled(self.max_insts, &plan)?;
+                (exit, Some(report))
+            }
+        };
+        Ok(GuestRun {
+            sample,
+            ..self.validate(&exit)?
+        })
     }
 
     /// Checks a completed run (its halting [`Exit`]) against the host
     /// oracle: the `emit` checksum must match, and with production
-    /// weight the retired-dispatch count must too.
+    /// weight the retired-dispatch count must too. The trace sink, if
+    /// any, stays on the machine.
     ///
     /// # Errors
     /// Returns [`GuestError::ChecksumMismatch`] or
@@ -282,153 +211,20 @@ impl Session {
                 oracle: oracle.steps,
             });
         }
-        // The sink (if any) stays on the machine: the caller holds the
-        // session and takes it from there.
         Ok(GuestRun {
             checksum,
             dispatches,
             stats: self.machine.stats.clone(),
-            sink: None,
             sample: None,
         })
     }
-
-    /// Runs the machine in sampled mode (fast-forward → warm → measure
-    /// under `plan`) and validates the architectural results against the
-    /// oracle exactly as [`Session::run_and_validate`] does — checksum
-    /// and dispatch counts are exact in every execution mode, only the
-    /// timing counters are estimates. The returned run carries the
-    /// [`SampleReport`] and its `stats` hold the scaled estimate.
-    ///
-    /// # Errors
-    /// Returns [`GuestError`] on simulator faults or oracle mismatches.
-    pub fn run_sampled_and_validate(
-        &mut self,
-        max_insts: u64,
-        plan: &SamplingPlan,
-    ) -> Result<GuestRun, GuestError> {
-        let (exit, report) = self.machine.run_sampled(max_insts, plan)?;
-        let mut run = self.validate(&exit)?;
-        run.sample = Some(report);
-        Ok(run)
-    }
-}
-
-/// Runs an LVM program on the simulated core under `scheme` and checks
-/// the checksum (and, with production weight, the dispatch count)
-/// against the host oracle.
-///
-/// # Errors
-/// Returns [`GuestError`] on simulator faults or oracle mismatches.
-pub fn run_lvm(
-    cfg: SimConfig,
-    program: &LvmProgram,
-    global_init: &[u64],
-    scheme: Scheme,
-    opts: GuestOptions,
-    max_insts: u64,
-) -> Result<GuestRun, GuestError> {
-    run_lvm_with(cfg, program, global_init, scheme, opts, max_insts, |_| {})
-}
-
-/// [`run_lvm`] with a `setup` hook run on the machine just before
-/// execution — the place to install a trace sink or tune the invariant
-/// checker.
-///
-/// # Errors
-/// Returns [`GuestError`] on simulator faults or oracle mismatches.
-pub fn run_lvm_with(
-    cfg: SimConfig,
-    program: &LvmProgram,
-    global_init: &[u64],
-    scheme: Scheme,
-    opts: GuestOptions,
-    max_insts: u64,
-    setup: impl FnOnce(&mut Machine),
-) -> Result<GuestRun, GuestError> {
-    let img = layout::build_lvm_image(program, global_init);
-    let guest = crate::lvm::build_lvm_guest(&img, scheme, opts);
-    let run = run_image(cfg, &guest, &img, max_insts, setup)?;
-
-    let oracle = luma::lvm::LvmInterp::new(program, global_init)
-        .run(max_insts)
-        .expect("oracle agrees the program terminates");
-    if oracle.checksum != run.checksum {
-        return Err(GuestError::ChecksumMismatch {
-            guest: run.checksum,
-            oracle: oracle.checksum,
-        });
-    }
-    if opts.production_weight && run.dispatches != oracle.steps {
-        return Err(GuestError::DispatchMismatch {
-            guest: run.dispatches,
-            oracle: oracle.steps,
-        });
-    }
-    Ok(run)
-}
-
-/// Runs an SVM program on the simulated core under `scheme` and checks
-/// it against the host oracle.
-///
-/// # Errors
-/// Returns [`GuestError`] on simulator faults or oracle mismatches.
-pub fn run_svm(
-    cfg: SimConfig,
-    program: &SvmProgram,
-    global_init: &[u64],
-    scheme: Scheme,
-    opts: GuestOptions,
-    max_insts: u64,
-) -> Result<GuestRun, GuestError> {
-    run_svm_with(cfg, program, global_init, scheme, opts, max_insts, |_| {})
-}
-
-/// [`run_svm`] with a `setup` hook run on the machine just before
-/// execution — the place to install a trace sink or tune the invariant
-/// checker.
-///
-/// # Errors
-/// Returns [`GuestError`] on simulator faults or oracle mismatches.
-pub fn run_svm_with(
-    cfg: SimConfig,
-    program: &SvmProgram,
-    global_init: &[u64],
-    scheme: Scheme,
-    opts: GuestOptions,
-    max_insts: u64,
-    setup: impl FnOnce(&mut Machine),
-) -> Result<GuestRun, GuestError> {
-    let img = layout::build_svm_image(program, global_init);
-    let guest = crate::svm::build_svm_guest(&img, scheme, opts);
-    let run = run_image(cfg, &guest, &img, max_insts, setup)?;
-
-    let oracle = luma::svm::SvmInterp::new(program, global_init)
-        .run(max_insts)
-        .expect("oracle agrees the program terminates");
-    if oracle.checksum != run.checksum {
-        return Err(GuestError::ChecksumMismatch {
-            guest: run.checksum,
-            oracle: oracle.checksum,
-        });
-    }
-    if opts.production_weight && run.dispatches != oracle.steps {
-        return Err(GuestError::DispatchMismatch {
-            guest: run.dispatches,
-            oracle: oracle.steps,
-        });
-    }
-    Ok(run)
 }
 
 /// Everything that identifies one guest run — one *cell* of the paper's
 /// run matrix: hardware configuration, VM, program, inputs, dispatch
-/// scheme, build options and instruction budget.
+/// scheme, build options, instruction budget and execution mode.
 ///
-/// The free functions below ([`run_source`], [`run_lvm`], ...) thread
-/// these through as positional arguments, which was tolerable for two
-/// call sites and is not for a sweep driver that builds hundreds of
-/// cells. A `RunRequest` is the named bundle: build it once, then
+/// The one way to run a guest: build a request, then
 /// [`RunRequest::run`] it, open a [`Session`](RunRequest::session) for
 /// stepwise control, or hand it to
 /// [`differential_check`](crate::differential_check) for the fault
@@ -539,19 +335,37 @@ impl<'a> RunRequest<'a> {
         s
     }
 
-    /// Loads the request into a [`Session`] (machine built, not run).
+    /// Parses and compiles the program for the request's VM, builds the
+    /// guest interpreter under its scheme and loads everything into a
+    /// fresh [`Session`] (machine built, not run).
     ///
     /// # Errors
     /// Returns a string describing parse or compile errors.
     pub fn session(&self) -> Result<Session, String> {
-        Session::from_source(
-            self.cfg.clone(),
-            self.vm,
-            self.src,
-            self.predefined,
-            self.scheme,
-            self.opts,
-        )
+        let script = luma::parser::parse(self.src).map_err(|e| e.to_string())?;
+        let (compiled, img, guest) = match self.vm {
+            Vm::Lvm => {
+                let (p, init) =
+                    luma::lvm::compile_lvm(&script, self.predefined).map_err(|e| e.to_string())?;
+                let img = layout::build_lvm_image(&p, &init);
+                let guest = crate::lvm::build_lvm_guest(&img, self.scheme, self.opts);
+                (Compiled::Lvm { program: p, init }, img, guest)
+            }
+            Vm::Svm => {
+                let (p, init) =
+                    luma::svm::compile_svm(&script, self.predefined).map_err(|e| e.to_string())?;
+                let img = layout::build_svm_image(&p, &init);
+                let guest = crate::svm::build_svm_guest(&img, self.scheme, self.opts);
+                (Compiled::Svm { program: p, init }, img, guest)
+            }
+        };
+        Ok(Session {
+            machine: build_machine(self.cfg.clone(), &guest, &img),
+            compiled,
+            opts: self.opts,
+            max_insts: self.max_insts,
+            sample: self.sample,
+        })
     }
 
     /// Runs the request end to end and validates against the oracle.
@@ -564,77 +378,17 @@ impl<'a> RunRequest<'a> {
     }
 
     /// [`RunRequest::run`] with a `setup` hook run on the machine just
-    /// before execution — the place to install a trace sink or tune the
-    /// invariant checker.
+    /// before execution — the place to tune the invariant checker or
+    /// install a fault plan. A caller that needs a trace sink back
+    /// opens a [`Session`](RunRequest::session) and takes it from the
+    /// machine.
     ///
     /// # Errors
     /// Returns a string describing parse/compile errors or a
     /// [`GuestError`].
     pub fn run_with(&self, setup: impl FnOnce(&mut Machine)) -> Result<GuestRun, String> {
-        if let Some(plan) = &self.sample {
-            let mut session = self.session()?;
-            setup(&mut session.machine);
-            return session
-                .run_sampled_and_validate(self.max_insts, plan)
-                .map_err(|e| e.to_string());
-        }
-        run_source_with(
-            self.cfg.clone(),
-            self.vm,
-            self.src,
-            self.predefined,
-            self.scheme,
-            self.opts,
-            self.max_insts,
-            setup,
-        )
-    }
-}
-
-/// Compiles a benchmark source for the given VM and runs it end to end.
-///
-/// # Errors
-/// Returns a string describing parse/compile errors or a [`GuestError`].
-pub fn run_source(
-    cfg: SimConfig,
-    vm: Vm,
-    src: &str,
-    predefined: &[(&str, f64)],
-    scheme: Scheme,
-    opts: GuestOptions,
-    max_insts: u64,
-) -> Result<GuestRun, String> {
-    run_source_with(cfg, vm, src, predefined, scheme, opts, max_insts, |_| {})
-}
-
-/// [`run_source`] with a `setup` hook run on the machine just before
-/// execution — the place to install a trace sink or tune the invariant
-/// checker.
-///
-/// # Errors
-/// Returns a string describing parse/compile errors or a [`GuestError`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_source_with(
-    cfg: SimConfig,
-    vm: Vm,
-    src: &str,
-    predefined: &[(&str, f64)],
-    scheme: Scheme,
-    opts: GuestOptions,
-    max_insts: u64,
-    setup: impl FnOnce(&mut Machine),
-) -> Result<GuestRun, String> {
-    let script = luma::parser::parse(src).map_err(|e| e.to_string())?;
-    match vm {
-        Vm::Lvm => {
-            let (p, init) =
-                luma::lvm::compile_lvm(&script, predefined).map_err(|e| e.to_string())?;
-            run_lvm_with(cfg, &p, &init, scheme, opts, max_insts, setup).map_err(|e| e.to_string())
-        }
-        Vm::Svm => {
-            let (p, init) =
-                luma::svm::compile_svm(&script, predefined).map_err(|e| e.to_string())?;
-            run_svm_with(cfg, &p, &init, scheme, opts, max_insts, setup).map_err(|e| e.to_string())
-        }
+        let mut session = self.session()?;
+        setup(&mut session.machine);
+        session.run_and_validate().map_err(|e| e.to_string())
     }
 }

@@ -26,8 +26,8 @@
 use crate::cache::Cache;
 use crate::jobs::{JobDone, JobError, JobOutcome, JobSpec};
 use crate::payload::{self, CachedRun};
-use scd_guest::RunRequest;
-use scd_sim::{downcast_sink, CycleBreakdown, SimError, WatchdogKind};
+use scd_guest::{GuestError, RunRequest};
+use scd_sim::{downcast_sink, CycleBreakdown, SamplingPlan, SimError, WatchdogKind};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -253,11 +253,17 @@ pub fn simulate_job(
                 .and_then(payload::decode)
             {
                 // A traced job needs a breakdown; a sampled job needs a
-                // sample report (and a detailed job must not get one) —
-                // the manifests already keep these apart, so this only
-                // guards against entries that predate a format change.
+                // sample report under its own plan (and a detailed job
+                // must not get one) — the manifests already keep these
+                // apart, so this only guards against entries that
+                // predate a format change, such as split-plan entries
+                // whose payload dropped the per-structure windows.
+                let plan = job.sample.map(|p| SamplingPlan {
+                    self_check: false,
+                    ..p
+                });
                 if (!job.traced || run.breakdown.is_some())
-                    && (job.sample.is_some() == run.sample.is_some())
+                    && plan == run.sample.as_ref().map(|r| r.plan)
                 {
                     return Ok(JobDone {
                         key,
@@ -291,50 +297,30 @@ fn compute_job(job: &JobSpec, timeout: Option<Duration>) -> Result<CachedRun, Jo
     job.with_request(|req| {
         let mut session = req.session().map_err(JobError::Compile)?;
         let m = &mut session.machine;
-        if let Some(plan) = &job.sample {
-            // Sampled path: the scheduler forbids per-retirement
-            // observers, so this is always the uninstrumented loop.
-            m.disable_invariants();
-            if let Some(t) = timeout {
-                m.set_wall_budget(t);
-            }
-            let run = match session.run_sampled_and_validate(job.max_insts, plan) {
-                Ok(run) => run,
-                Err(scd_guest::GuestError::Sim(SimError::Watchdog {
-                    kind: WatchdogKind::WallClock,
-                    ..
-                })) => return Err(JobError::Timeout(timeout.unwrap_or_default())),
-                Err(e) => return Err(JobError::Guest(e.to_string())),
-            };
-            return Ok(CachedRun::from_run(&run, None));
-        }
-        if job.traced || job.invariants {
+        // Sampled runs forbid per-retirement observers, so only the
+        // detailed path can be traced or checked; everything else keeps
+        // the uninstrumented loop (debug builds otherwise auto-arm the
+        // invariant observer).
+        let detailed = req.sample.is_none();
+        if detailed && (job.traced || job.invariants) {
             m.enable_invariants(INVARIANT_STRIDE);
         } else {
-            // Uninstrumented: keep the fast loop (debug builds otherwise
-            // auto-arm the invariant observer).
             m.disable_invariants();
         }
-        if job.traced {
+        if detailed && job.traced {
             m.set_trace_sink(Box::new(CycleBreakdown::default()));
         }
         if let Some(t) = timeout {
             m.set_wall_budget(t);
         }
-        let exit = match m.run(job.max_insts) {
-            Ok(exit) => exit,
-            Err(SimError::Watchdog {
+        let run = session.run_and_validate().map_err(|e| match e {
+            GuestError::Sim(SimError::Watchdog {
                 kind: WatchdogKind::WallClock,
                 ..
-            }) => {
-                return Err(JobError::Timeout(timeout.unwrap_or_default()));
-            }
-            Err(e) => return Err(JobError::Guest(format!("simulation error: {e}"))),
-        };
-        let run = session
-            .validate(&exit)
-            .map_err(|e| JobError::Guest(e.to_string()))?;
-        let breakdown = if job.traced {
+            }) => JobError::Timeout(timeout.unwrap_or_default()),
+            e => JobError::Guest(e.to_string()),
+        })?;
+        let breakdown = if detailed && job.traced {
             let sink = session
                 .machine
                 .take_trace_sink()
@@ -628,6 +614,31 @@ mod tests {
         let again = simulate_job(&j, Some(&cache), None).expect("hits");
         assert!(again.cached, "the recomputed entry replaced the bad one");
         assert_eq!(again.run, done.run);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn split_plan_entry_without_its_windows_recomputes() {
+        let dir = std::env::temp_dir().join(format!("scd-driver-split-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Cache::open(&dir).expect("open cache");
+        let mut j = job("split");
+        j.sample = Some(SamplingPlan::parse("1M:20k/BTB=2k,PRED=5k:20k").unwrap());
+        let key = Cache::key(&j.cache_manifest());
+        let fresh = simulate_job(&j, None, None).expect("runs uncached");
+        // The three-entry plan older payloads wrote for every plan.
+        let old = payload::encode(&fresh.run).replace(
+            "\"plan\":[1000000,20000,20000,2000,5000]",
+            "\"plan\":[1000000,20000,20000]",
+        );
+        cache.store(&key, old.as_bytes()).expect("store");
+
+        let done = simulate_job(&j, Some(&cache), None).expect("recomputes");
+        assert!(!done.cached, "an entry under another plan is a miss");
+        assert_eq!(done.run, fresh.run);
+        let again = simulate_job(&j, Some(&cache), None).expect("hits");
+        assert!(again.cached);
+        assert_eq!(again.run, fresh.run);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

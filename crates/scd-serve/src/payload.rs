@@ -141,17 +141,25 @@ pub fn encode(run: &CachedRun) -> String {
     // payloads stay byte-identical to entries written before sampling
     // existed, so warm caches survive the format addition. The f64s are
     // carried as IEEE-754 bit patterns to keep the encoding exact and
-    // deterministic.
+    // deterministic. The plan's per-structure windows follow its three
+    // leading entries only when they differ from the uniform warmup, so
+    // uniform-plan payloads keep their original three-entry form.
     if let Some(r) = &run.sample {
+        let p = &r.plan;
+        let split = if p.btb_warmup == p.warmup && p.pred_warmup == p.warmup {
+            String::new()
+        } else {
+            format!(",{},{}", p.btb_warmup, p.pred_warmup)
+        };
         let _ = write!(
             out,
-            ",\"sample\":{{\"plan\":[{},{},{}],\"intervals\":{},\"total_insts\":{},\
+            ",\"sample\":{{\"plan\":[{},{},{}{split}],\"intervals\":{},\"total_insts\":{},\
              \"measured_insts\":{},\"measured_cycles\":{},\"ff_insts\":{},\"warm_insts\":{},\
              \"cpi_mean_bits\":{},\"cpi_ci95_bits\":{},\"cycles_est\":{},\"cycles_ci95\":{},\
              \"exact_fallback\":{}}}",
-            r.plan.period,
-            r.plan.warmup,
-            r.plan.measure,
+            p.period,
+            p.warmup,
+            p.measure,
             r.intervals,
             r.total_insts,
             r.measured_insts,
@@ -288,9 +296,17 @@ pub fn decode(text: &str) -> Result<CachedRun, String> {
 }
 
 fn decode_sample(s: &Value) -> Result<SampleReport, String> {
-    let [period, warmup, measure] = tuple_u64::<3>(s, "plan")?;
-    let plan = SamplingPlan::new(period, warmup, measure)
-        .map_err(|e| format!("field 'sample.plan': {e}"))?;
+    // `[period, warmup, measure]`, plus `btb_warmup, pred_warmup` for a
+    // split plan.
+    let split = s.get("plan").and_then(Value::as_arr).map(<[Value]>::len) == Some(5);
+    let plan = if split {
+        let [period, warmup, measure, btb, pred] = tuple_u64::<5>(s, "plan")?;
+        SamplingPlan::new(period, warmup, measure).and_then(|p| p.with_windows(btb, pred))
+    } else {
+        let [period, warmup, measure] = tuple_u64::<3>(s, "plan")?;
+        SamplingPlan::new(period, warmup, measure)
+    }
+    .map_err(|e| format!("field 'sample.plan': {e}"))?;
     Ok(SampleReport {
         plan,
         intervals: field_u64(s, "intervals")?,
@@ -469,6 +485,17 @@ mod tests {
         assert_eq!(s.cpi_mean.to_bits(), dense_sample().cpi_mean.to_bits());
         assert_eq!(s.cpi_ci95.to_bits(), dense_sample().cpi_ci95.to_bits());
         assert_eq!(encode(&run), text, "sampled encoding is deterministic");
+
+        // A split plan keeps its per-structure windows through the cache.
+        let mut split = dense_sample();
+        split.plan = SamplingPlan::parse("1M:20k/BTB=2k,PRED=5k:20k").unwrap();
+        run.sample = Some(split);
+        let text = encode(&run);
+        assert!(
+            text.contains("\"plan\":[1000000,20000,20000,2000,5000]"),
+            "{text}"
+        );
+        assert_eq!(decode(&text).expect("decode split"), run);
     }
 
     #[test]

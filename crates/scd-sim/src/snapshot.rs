@@ -257,89 +257,17 @@ pub fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Serializes every [`SimStats`] field in fixed order.
+/// Serializes every [`SimStats`] field in [`SimStats::counters`] order.
 pub(crate) fn stats_to_words(s: &SimStats, out: &mut Vec<u64>) {
-    out.extend_from_slice(&[
-        s.cycles,
-        s.instructions,
-        s.dispatch_instructions,
-        s.loads,
-        s.stores,
-    ]);
-    for b in [
-        &s.cond,
-        &s.direct,
-        &s.ret,
-        &s.indirect_dispatch,
-        &s.indirect_other,
-    ] {
-        out.extend_from_slice(&[b.executed, b.mispredicted]);
-    }
-    out.extend_from_slice(&[
-        s.bop_executed,
-        s.bop_hits,
-        s.bop_misses,
-        s.bop_stall_cycles,
-        s.jru_executed,
-    ]);
-    for a in [&s.icache, &s.dcache, &s.l2, &s.itlb, &s.dtlb] {
-        out.extend_from_slice(&[a.accesses, a.misses, a.writebacks]);
-    }
-    let b = &s.btb;
-    out.extend_from_slice(&[
-        b.jte_inserts,
-        b.jte_cap_skips,
-        b.btb_evicted_by_jte,
-        b.jte_evictions,
-        b.btb_blocked_by_jte,
-        b.jte_flushes,
-        b.jte_flushed,
-    ]);
+    out.extend_from_slice(&s.counters());
 }
 
 /// Inverse of [`stats_to_words`].
-#[allow(clippy::field_reassign_with_default)]
 pub(crate) fn stats_from_words(c: &mut Cursor) -> Result<SimStats, SnapshotError> {
     let mut s = SimStats::default();
-    s.cycles = c.next()?;
-    s.instructions = c.next()?;
-    s.dispatch_instructions = c.next()?;
-    s.loads = c.next()?;
-    s.stores = c.next()?;
-    for b in [
-        &mut s.cond,
-        &mut s.direct,
-        &mut s.ret,
-        &mut s.indirect_dispatch,
-        &mut s.indirect_other,
-    ] {
-        b.executed = c.next()?;
-        b.mispredicted = c.next()?;
+    for slot in s.counters_mut() {
+        *slot = c.next()?;
     }
-    s.bop_executed = c.next()?;
-    s.bop_hits = c.next()?;
-    s.bop_misses = c.next()?;
-    s.bop_stall_cycles = c.next()?;
-    s.jru_executed = c.next()?;
-    for a in [
-        &mut s.icache,
-        &mut s.dcache,
-        &mut s.l2,
-        &mut s.itlb,
-        &mut s.dtlb,
-    ] {
-        a.accesses = c.next()?;
-        a.misses = c.next()?;
-        a.writebacks = c.next()?;
-    }
-    let b = &mut s.btb;
-    b.jte_inserts = c.next()?;
-    b.jte_cap_skips = c.next()?;
-    b.btb_evicted_by_jte = c.next()?;
-    b.jte_evictions = c.next()?;
-    b.btb_blocked_by_jte = c.next()?;
-    b.jte_flushes = c.next()?;
-    b.jte_flushed = c.next()?;
     Ok(s)
 }
 

@@ -105,6 +105,52 @@ pub struct SimStats {
     pub btb: BtbStats,
 }
 
+/// The field path of every counter, in [`SimStats::counters`] order.
+pub(crate) const COUNTER_NAMES: [&str; 42] = [
+    "cycles",
+    "instructions",
+    "dispatch_instructions",
+    "loads",
+    "stores",
+    "cond.executed",
+    "cond.mispredicted",
+    "direct.executed",
+    "direct.mispredicted",
+    "ret.executed",
+    "ret.mispredicted",
+    "indirect_dispatch.executed",
+    "indirect_dispatch.mispredicted",
+    "indirect_other.executed",
+    "indirect_other.mispredicted",
+    "bop_executed",
+    "bop_hits",
+    "bop_misses",
+    "bop_stall_cycles",
+    "jru_executed",
+    "icache.accesses",
+    "icache.misses",
+    "icache.writebacks",
+    "dcache.accesses",
+    "dcache.misses",
+    "dcache.writebacks",
+    "l2.accesses",
+    "l2.misses",
+    "l2.writebacks",
+    "itlb.accesses",
+    "itlb.misses",
+    "itlb.writebacks",
+    "dtlb.accesses",
+    "dtlb.misses",
+    "dtlb.writebacks",
+    "btb.jte_inserts",
+    "btb.jte_cap_skips",
+    "btb.btb_evicted_by_jte",
+    "btb.jte_evictions",
+    "btb.btb_blocked_by_jte",
+    "btb.jte_flushes",
+    "btb.jte_flushed",
+];
+
 impl SimStats {
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
@@ -180,10 +226,11 @@ impl SimStats {
 
     /// Every raw counter, flattened in one fixed order. The interval
     /// arithmetic below ([`SimStats::delta_since`] /
-    /// [`SimStats::accumulate`] / [`SimStats::scaled`]) iterates this
-    /// array so a new counter field only needs to be added here (and in
-    /// `counters_mut`, kept in the same order) once.
-    fn counters(&self) -> [u64; 42] {
+    /// [`SimStats::accumulate`] / [`SimStats::scaled`]), the snapshot
+    /// encoding and `diff_stats` iterate this array, so a new counter
+    /// field only needs to be added here (and in `counters_mut` and
+    /// [`COUNTER_NAMES`], kept in the same order) once.
+    pub(crate) fn counters(&self) -> [u64; 42] {
         [
             self.cycles,
             self.instructions,
@@ -232,7 +279,7 @@ impl SimStats {
 
     /// Mutable borrows of every counter, in [`SimStats::counters`] order
     /// (distinct fields, so the simultaneous borrows are fine).
-    fn counters_mut(&mut self) -> [&mut u64; 42] {
+    pub(crate) fn counters_mut(&mut self) -> [&mut u64; 42] {
         [
             &mut self.cycles,
             &mut self.instructions,

@@ -30,7 +30,7 @@
 use crate::btb::{EntryKind, InsertOutcome};
 use crate::fault::{FaultEvent, FaultKind};
 use crate::json::{self, Value};
-use crate::stats::{BranchClass, SimStats};
+use crate::stats::{BranchClass, SimStats, COUNTER_NAMES};
 use scd_isa::Inst;
 
 // ---------------------------------------------------------------------
@@ -1113,61 +1113,12 @@ impl ReplayStats {
 /// Describes the first field on which two [`SimStats`] differ, or `None`
 /// when they are identical. Used for readable invariant-failure panics.
 pub fn diff_stats(live: &SimStats, replay: &SimStats) -> Option<String> {
-    macro_rules! cmp {
-        ($($field:ident $(. $sub:ident)?),+ $(,)?) => {
-            $(
-                {
-                    let a = live.$field $(. $sub)?;
-                    let b = replay.$field $(. $sub)?;
-                    if a != b {
-                        return Some(format!(
-                            concat!(stringify!($field), $("." , stringify!($sub),)? ": live {} vs replay {}"),
-                            a, b
-                        ));
-                    }
-                }
-            )+
-        };
-    }
-    cmp!(
-        cycles,
-        instructions,
-        dispatch_instructions,
-        loads,
-        stores,
-        cond.executed,
-        cond.mispredicted,
-        direct.executed,
-        direct.mispredicted,
-        ret.executed,
-        ret.mispredicted,
-        indirect_dispatch.executed,
-        indirect_dispatch.mispredicted,
-        indirect_other.executed,
-        indirect_other.mispredicted,
-        bop_executed,
-        bop_hits,
-        bop_misses,
-        bop_stall_cycles,
-        jru_executed,
-        icache.accesses,
-        icache.misses,
-        icache.writebacks,
-        dcache.accesses,
-        dcache.misses,
-        dcache.writebacks,
-        l2.accesses,
-        l2.misses,
-        l2.writebacks,
-        itlb.accesses,
-        itlb.misses,
-        dtlb.accesses,
-        dtlb.misses,
-    );
-    if live.btb != replay.btb {
-        return Some(format!("btb: live {:?} vs replay {:?}", live.btb, replay.btb));
-    }
-    None
+    live.counters()
+        .into_iter()
+        .zip(replay.counters())
+        .zip(COUNTER_NAMES)
+        .find(|((a, b), _)| a != b)
+        .map(|((a, b), name)| format!("{name}: live {a} vs replay {b}"))
 }
 
 /// Debug-mode cross-counter checker: replays the event stream and
@@ -1506,6 +1457,10 @@ mod tests {
         b.bop_hits = 3;
         let d = diff_stats(&a, &b).expect("differs");
         assert!(d.contains("bop_hits"), "got {d}");
+        // Every counter is compared, the TLB writebacks included.
+        let mut c = SimStats::default();
+        c.dtlb.writebacks = 2;
+        assert_eq!(diff_stats(&a, &c).as_deref(), Some("dtlb.writebacks: live 0 vs replay 2"));
     }
 
     #[test]

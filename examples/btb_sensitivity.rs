@@ -6,11 +6,14 @@
 //! ```
 
 use scd::luma::scripts;
-use scd::scd_guest::{run_source, GuestOptions, Scheme, Vm};
+use scd::scd_guest::{RunRequest, Scheme, Vm};
 use scd::scd_sim::SimConfig;
 
 fn cycles(cfg: SimConfig, scheme: Scheme, src: &str, n: f64) -> u64 {
-    run_source(cfg, Vm::Lvm, src, &[("N", n)], scheme, GuestOptions::default(), u64::MAX)
+    RunRequest::new(cfg, Vm::Lvm, src)
+        .predefined(&[("N", n)])
+        .scheme(scheme)
+        .run()
         .expect("benchmark runs")
         .stats
         .cycles

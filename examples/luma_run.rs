@@ -8,7 +8,7 @@
 //!     [--config a5|rocket|a8] [--arg N=123]
 //! ```
 
-use scd::scd_guest::{run_source, GuestOptions, Scheme, Vm};
+use scd::scd_guest::{RunRequest, Scheme, Vm};
 use scd::scd_sim::SimConfig;
 
 fn usage() -> ! {
@@ -69,8 +69,7 @@ fn main() {
     });
     let predefined: Vec<(&str, f64)> = predefined.iter().map(|(k, v)| (k.as_str(), *v)).collect();
 
-    match run_source(cfg.clone(), vm, &src, &predefined, scheme, GuestOptions::default(), u64::MAX)
-    {
+    match RunRequest::new(cfg.clone(), vm, &src).predefined(&predefined).scheme(scheme).run() {
         Ok(run) => {
             println!("config        : {}", cfg.name);
             println!("vm / scheme   : {} / {}", vm.name(), scheme.name());

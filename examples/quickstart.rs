@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use scd::scd_guest::{run_source, GuestOptions, Scheme, Vm};
+use scd::scd_guest::{RunRequest, Scheme, Vm};
 use scd::scd_sim::SimConfig;
 
 const SCRIPT: &str = "
@@ -36,15 +36,10 @@ fn main() -> Result<(), String> {
 
     let mut baseline_cycles = 0;
     for scheme in [Scheme::Baseline, Scheme::Threaded, Scheme::Scd] {
-        let run = run_source(
-            SimConfig::embedded_a5(),
-            Vm::Lvm,
-            SCRIPT,
-            &args,
-            scheme,
-            GuestOptions::default(),
-            u64::MAX,
-        )?;
+        let run = RunRequest::new(SimConfig::embedded_a5(), Vm::Lvm, SCRIPT)
+            .predefined(&args)
+            .scheme(scheme)
+            .run()?;
         if scheme == Scheme::Baseline {
             baseline_cycles = run.stats.cycles;
         }

@@ -11,19 +11,16 @@
 //! * [`scd_model`] — the analytical area/power/EDP model.
 //!
 //! ```
-//! use scd::scd_guest::{run_source, GuestOptions, Scheme, Vm};
+//! use scd::scd_guest::{RunRequest, Scheme, Vm};
 //! use scd::scd_sim::SimConfig;
 //!
 //! # fn main() -> Result<(), String> {
-//! let run = run_source(
-//!     SimConfig::embedded_a5(),
-//!     Vm::Lvm,
-//!     "var s = 0; for i = 1, N { s = s + i; } emit(s);",
-//!     &[("N", 64.0)],
-//!     Scheme::Scd,
-//!     GuestOptions::default(),
-//!     1_000_000,
-//! )?;
+//! let src = "var s = 0; for i = 1, N { s = s + i; } emit(s);";
+//! let run = RunRequest::new(SimConfig::embedded_a5(), Vm::Lvm, src)
+//!     .predefined(&[("N", 64.0)])
+//!     .scheme(Scheme::Scd)
+//!     .max_insts(1_000_000)
+//!     .run()?;
 //! assert!(run.stats.bop_hits > 0);
 //! # Ok(())
 //! # }

@@ -2,7 +2,7 @@
 //! fault-injection differential guard on real benchmark guests, the
 //! watchdog's typed error, and bit-exact checkpoint/resume.
 
-use scd_guest::{differential_check, GuestOptions, RunRequest, Scheme, Session, Vm};
+use scd_guest::{differential_check, RunRequest, Scheme, Vm};
 use scd_sim::{FaultPlan, SimConfig, SimError, Snapshot, WatchdogKind};
 
 /// Picks two cheap corpus benchmarks (one loop-heavy, one call-heavy) so
@@ -39,15 +39,11 @@ fn differential_guard_passes_on_seed_guests_under_standard_plans() {
 #[test]
 fn cycle_watchdog_returns_typed_error() {
     let src = "var s = 0; for i = 1, N { s = s + i; } emit(s);";
-    let mut session = Session::from_source(
-        SimConfig::embedded_a5(),
-        Vm::Lvm,
-        src,
-        &[("N", 100_000.0)],
-        Scheme::Scd,
-        GuestOptions::default(),
-    )
-    .expect("compiles");
+    let mut session = RunRequest::new(SimConfig::embedded_a5(), Vm::Lvm, src)
+        .predefined(&[("N", 100_000.0)])
+        .scheme(Scheme::Scd)
+        .session()
+        .expect("compiles");
     session.machine.set_cycle_budget(5_000);
     match session.machine.run(u64::MAX) {
         Err(SimError::Watchdog { kind: WatchdogKind::Cycles, cycles, .. }) => {
@@ -61,18 +57,15 @@ fn cycle_watchdog_returns_typed_error() {
 fn checkpoint_resume_reproduces_stats_exactly() {
     let src = "var s = 0; for i = 1, N { s = s + i * i % 7; } emit(s);";
     let args: &[(&str, f64)] = &[("N", 400.0)];
-    let cfg = SimConfig::embedded_a5();
+    let req =
+        RunRequest::new(SimConfig::embedded_a5(), Vm::Lvm, src).predefined(args).scheme(Scheme::Scd);
 
     // Reference: one uninterrupted run.
-    let mut reference =
-        Session::from_source(cfg.clone(), Vm::Lvm, src, args, Scheme::Scd, GuestOptions::default())
-            .expect("compiles");
-    let ref_run = reference.run_and_validate(u64::MAX).expect("reference run validates");
+    let mut reference = req.session().expect("compiles");
+    let ref_run = reference.run_and_validate().expect("reference run validates");
 
     // Interrupted run: stop mid-flight, snapshot, and serialize.
-    let mut first =
-        Session::from_source(cfg.clone(), Vm::Lvm, src, args, Scheme::Scd, GuestOptions::default())
-            .expect("compiles");
+    let mut first = req.session().expect("compiles");
     let cut = ref_run.stats.instructions / 2;
     match first.machine.run(cut) {
         Err(SimError::InstLimit { .. }) => {}
@@ -82,13 +75,11 @@ fn checkpoint_resume_reproduces_stats_exactly() {
 
     // Resume in a fresh session (fresh machine, same guest build) from
     // the serialized snapshot and run to completion.
-    let mut resumed =
-        Session::from_source(cfg, Vm::Lvm, src, args, Scheme::Scd, GuestOptions::default())
-            .expect("compiles");
+    let mut resumed = req.session().expect("compiles");
     let snap = Snapshot::from_bytes(&bytes).expect("snapshot deserializes");
     resumed.machine.restore(&snap).expect("fingerprint matches");
     assert_eq!(resumed.machine.stats.instructions, cut);
-    let resumed_run = resumed.run_and_validate(u64::MAX).expect("resumed run validates");
+    let resumed_run = resumed.run_and_validate().expect("resumed run validates");
 
     assert_eq!(resumed_run.checksum, ref_run.checksum);
     assert_eq!(resumed_run.dispatches, ref_run.dispatches);

@@ -12,7 +12,7 @@
 //! ```
 
 use luma::scripts::BENCHMARKS;
-use scd_guest::{GuestOptions, Scheme, Session, Vm};
+use scd_guest::{RunRequest, Scheme, Vm};
 use scd_sim::{BtbOrg, CycleBreakdown, SimConfig, TwoLevelBtbConfig};
 use std::fmt::Write as _;
 
@@ -38,20 +38,14 @@ fn render_current() -> String {
                 let b = BENCHMARKS.iter().find(|b| b.name == name).expect("pinned benchmark");
                 for scheme in [Scheme::Baseline, Scheme::Scd] {
                     let key = format!("{}/{}/{}/{}", cfg.name, vm.name(), name, scheme.name());
-                    let mut session = Session::from_source(
-                        cfg.clone(),
-                        vm,
-                        b.source,
-                        &[("N", b.tiny_arg)],
-                        scheme,
-                        GuestOptions::default(),
-                    )
-                    .unwrap_or_else(|e| panic!("{key}: {e}"));
+                    let mut session = RunRequest::new(cfg.clone(), vm, b.source)
+                        .predefined(&[("N", b.tiny_arg)])
+                        .scheme(scheme)
+                        .session()
+                        .unwrap_or_else(|e| panic!("{key}: {e}"));
                     let fingerprint = session.machine.snapshot().fingerprint();
                     session.machine.set_trace_sink(Box::new(CycleBreakdown::default()));
-                    let run = session
-                        .run_and_validate(u64::MAX)
-                        .unwrap_or_else(|e| panic!("{key}: {e}"));
+                    let run = session.run_and_validate().unwrap_or_else(|e| panic!("{key}: {e}"));
                     let breakdown = session
                         .machine
                         .take_trace_sink()
@@ -89,15 +83,11 @@ fn fast_and_observed_loops_agree_bit_for_bit() {
             let b = BENCHMARKS.iter().find(|b| b.name == "fibo").expect("pinned benchmark");
             let key = format!("{}/{}", cfg.name, scheme.name());
             let build = || {
-                Session::from_source(
-                    cfg.clone(),
-                    Vm::ALL[0],
-                    b.source,
-                    &[("N", b.tiny_arg)],
-                    scheme,
-                    GuestOptions::default(),
-                )
-                .unwrap_or_else(|e| panic!("{key}: {e}"))
+                RunRequest::new(cfg.clone(), Vm::ALL[0], b.source)
+                    .predefined(&[("N", b.tiny_arg)])
+                    .scheme(scheme)
+                    .session()
+                    .unwrap_or_else(|e| panic!("{key}: {e}"))
             };
 
             // Fast path: strip every observer (debug builds auto-arm
@@ -171,18 +161,14 @@ fn render_two_level() -> String {
     let mut first = true;
     for scheme in Scheme::ALL {
         let key = format!("{}+two-level/lvm/fibo/{}", cfg.name, scheme.name());
-        let mut session = Session::from_source(
-            cfg.clone(),
-            Vm::ALL[0],
-            b.source,
-            &[("N", b.tiny_arg)],
-            scheme,
-            GuestOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{key}: {e}"));
+        let mut session = RunRequest::new(cfg.clone(), Vm::ALL[0], b.source)
+            .predefined(&[("N", b.tiny_arg)])
+            .scheme(scheme)
+            .session()
+            .unwrap_or_else(|e| panic!("{key}: {e}"));
         let fingerprint = session.machine.snapshot().fingerprint();
         session.machine.set_trace_sink(Box::new(CycleBreakdown::default()));
-        let run = session.run_and_validate(u64::MAX).unwrap_or_else(|e| panic!("{key}: {e}"));
+        let run = session.run_and_validate().unwrap_or_else(|e| panic!("{key}: {e}"));
         let breakdown = session
             .machine
             .take_trace_sink()

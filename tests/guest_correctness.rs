@@ -1,26 +1,28 @@
 //! End-to-end correctness: every benchmark of Table III runs to
 //! completion on the simulated core, for both VMs and all three dispatch
 //! schemes, and produces exactly the host oracle's checksum and
-//! bytecode count. (The checks themselves live inside `run_source`,
-//! which returns an error on any mismatch.)
+//! bytecode count. (The checks themselves live inside
+//! `Session::validate`, which returns an error on any mismatch.)
 
-use scd_guest::{run_source, GuestOptions, Scheme, Vm};
+use luma::scripts::Benchmark;
+use scd_guest::{GuestRun, RunRequest, Scheme, Vm};
 use scd_sim::SimConfig;
 
 const MAX_INSTS: u64 = 2_000_000_000;
 
+/// Runs `b` at its tiny input and validates it against the oracle.
+fn run(cfg: SimConfig, vm: Vm, b: &Benchmark, scheme: Scheme) -> Result<GuestRun, String> {
+    RunRequest::new(cfg, vm, b.source)
+        .predefined(&[("N", b.tiny_arg)])
+        .scheme(scheme)
+        .max_insts(MAX_INSTS)
+        .run()
+}
+
 fn run_all(vm: Vm, scheme: Scheme) {
     for b in &luma::scripts::BENCHMARKS {
-        let run = run_source(
-            SimConfig::embedded_a5(),
-            vm,
-            b.source,
-            &[("N", b.tiny_arg)],
-            scheme,
-            GuestOptions::default(),
-            MAX_INSTS,
-        )
-        .unwrap_or_else(|e| panic!("{} on {:?}/{:?}: {e}", b.name, vm, scheme));
+        let run = run(SimConfig::embedded_a5(), vm, b, scheme)
+            .unwrap_or_else(|e| panic!("{} on {:?}/{:?}: {e}", b.name, vm, scheme));
         assert!(run.dispatches > 0, "{} dispatched nothing", b.name);
         assert!(run.stats.instructions > run.dispatches, "{}", b.name);
     }
@@ -63,16 +65,7 @@ fn schemes_agree_on_dispatch_count() {
     let b = luma::scripts::find("fibo").unwrap();
     let mut counts = Vec::new();
     for scheme in Scheme::ALL {
-        let run = run_source(
-            SimConfig::embedded_a5(),
-            Vm::Lvm,
-            b.source,
-            &[("N", b.tiny_arg)],
-            scheme,
-            GuestOptions::default(),
-            MAX_INSTS,
-        )
-        .unwrap();
+        let run = run(SimConfig::embedded_a5(), Vm::Lvm, b, scheme).unwrap();
         counts.push(run.dispatches);
     }
     assert_eq!(counts[0], counts[1]);
@@ -86,16 +79,7 @@ fn scd_reduces_instruction_count() {
     let b = luma::scripts::find("n-sieve").unwrap();
     let mut insts = Vec::new();
     for scheme in [Scheme::Baseline, Scheme::Scd] {
-        let run = run_source(
-            SimConfig::embedded_a5(),
-            Vm::Lvm,
-            b.source,
-            &[("N", b.tiny_arg)],
-            scheme,
-            GuestOptions::default(),
-            MAX_INSTS,
-        )
-        .unwrap();
+        let run = run(SimConfig::embedded_a5(), Vm::Lvm, b, scheme).unwrap();
         insts.push(run.stats.instructions);
     }
     assert!(
@@ -112,16 +96,7 @@ fn scd_reduces_dispatch_mispredictions() {
     let b = luma::scripts::find("fannkuch-redux").unwrap();
     let mut mpki = Vec::new();
     for scheme in [Scheme::Baseline, Scheme::Scd] {
-        let run = run_source(
-            SimConfig::embedded_a5(),
-            Vm::Lvm,
-            b.source,
-            &[("N", b.tiny_arg)],
-            scheme,
-            GuestOptions::default(),
-            MAX_INSTS,
-        )
-        .unwrap();
+        let run = run(SimConfig::embedded_a5(), Vm::Lvm, b, scheme).unwrap();
         mpki.push(run.stats.branch_mpki());
     }
     assert!(
@@ -137,16 +112,8 @@ fn runs_on_fpga_and_highend_configs() {
     let b = luma::scripts::find("random").unwrap();
     for cfg in [SimConfig::fpga_rocket(), SimConfig::highend_a8()] {
         for vm in Vm::ALL {
-            run_source(
-                cfg.clone(),
-                vm,
-                b.source,
-                &[("N", b.tiny_arg)],
-                Scheme::Scd,
-                GuestOptions::default(),
-                MAX_INSTS,
-            )
-            .unwrap_or_else(|e| panic!("{} on {}: {e}", b.name, cfg.name));
+            run(cfg.clone(), vm, b, Scheme::Scd)
+                .unwrap_or_else(|e| panic!("{} on {}: {e}", b.name, cfg.name));
         }
     }
 }

@@ -5,7 +5,7 @@
 
 use luma::lvm::bytecode::Op as LOp;
 use luma::svm::bytecode::Op as SOp;
-use scd_guest::{run_source, GuestOptions, Scheme, Vm};
+use scd_guest::{RunRequest, Scheme, Vm};
 use scd_sim::SimConfig;
 
 /// Touches every language feature: literals, booleans, nil, globals,
@@ -193,17 +193,12 @@ fn svm_opcode_coverage_is_near_total() {
 fn kitchen_sink_runs_on_guests_in_all_schemes() {
     for vm in Vm::ALL {
         for scheme in Scheme::ALL {
-            // run_source validates checksum + dispatch count internally.
-            run_source(
-                SimConfig::embedded_a5(),
-                vm,
-                KITCHEN_SINK,
-                &[],
-                scheme,
-                GuestOptions::default(),
-                50_000_000,
-            )
-            .unwrap_or_else(|e| panic!("kitchen sink on {vm:?}/{scheme:?}: {e}"));
+            // The run validates checksum + dispatch count against the oracle.
+            RunRequest::new(SimConfig::embedded_a5(), vm, KITCHEN_SINK)
+                .scheme(scheme)
+                .max_insts(50_000_000)
+                .run()
+                .unwrap_or_else(|e| panic!("kitchen sink on {vm:?}/{scheme:?}: {e}"));
         }
     }
 }

@@ -1,14 +1,24 @@
 //! The strongest correctness property in the repository: *randomly
 //! generated programs* run on the simulated guest interpreter (SCD
-//! build) must agree bit-for-bit with the host oracle — `run_source`
-//! validates checksum and dispatch count on every case.
+//! build) must agree bit-for-bit with the host oracle — every run
+//! validates checksum and dispatch count.
 //!
 //! Case counts are kept modest because each case assembles an
 //! interpreter and simulates tens of thousands of instructions.
 
 use proptest::prelude::*;
-use scd_guest::{run_source, GuestOptions, Scheme, Vm};
+use scd_guest::{RunRequest, Scheme, Vm};
 use scd_sim::SimConfig;
+
+/// Runs `src` under `scheme` and fails the case on any oracle mismatch.
+fn check(cfg: SimConfig, vm: Vm, src: &str, scheme: Scheme) -> Result<(), TestCaseError> {
+    RunRequest::new(cfg, vm, src)
+        .scheme(scheme)
+        .max_insts(200_000_000)
+        .run()
+        .map(drop)
+        .map_err(|e| TestCaseError::fail(format!("{e}\nsource:\n{src}")))
+}
 
 /// A small random program: a handful of globals, a loop, an array pass,
 /// and a function call, parameterized by random constants.
@@ -50,44 +60,17 @@ proptest! {
 
     #[test]
     fn random_programs_agree_with_oracle_on_lvm_scd(src in arb_program()) {
-        run_source(
-            SimConfig::embedded_a5(),
-            Vm::Lvm,
-            &src,
-            &[],
-            Scheme::Scd,
-            GuestOptions::default(),
-            200_000_000,
-        )
-        .map_err(|e| TestCaseError::fail(format!("{e}\nsource:\n{src}")))?;
+        check(SimConfig::embedded_a5(), Vm::Lvm, &src, Scheme::Scd)?;
     }
 
     #[test]
     fn random_programs_agree_with_oracle_on_svm_scd(src in arb_program()) {
-        run_source(
-            SimConfig::embedded_a5(),
-            Vm::Svm,
-            &src,
-            &[],
-            Scheme::Scd,
-            GuestOptions::default(),
-            200_000_000,
-        )
-        .map_err(|e| TestCaseError::fail(format!("{e}\nsource:\n{src}")))?;
+        check(SimConfig::embedded_a5(), Vm::Svm, &src, Scheme::Scd)?;
     }
 
     #[test]
     fn random_programs_agree_on_threaded_build(src in arb_program()) {
-        run_source(
-            SimConfig::fpga_rocket(),
-            Vm::Lvm,
-            &src,
-            &[],
-            Scheme::Threaded,
-            GuestOptions::default(),
-            200_000_000,
-        )
-        .map_err(|e| TestCaseError::fail(format!("{e}\nsource:\n{src}")))?;
+        check(SimConfig::fpga_rocket(), Vm::Lvm, &src, Scheme::Threaded)?;
     }
 }
 

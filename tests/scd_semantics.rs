@@ -3,15 +3,14 @@
 //! Section IV: stall vs fall-through scheme, JTE flushing on context
 //! switches, multiple branch IDs, and SCD binaries on non-SCD cores.
 
-use scd_guest::{run_source, GuestOptions, Scheme, Vm};
+use scd_guest::{GuestOptions, GuestRun, RunRequest, Scheme, Vm};
 use scd_isa::{Asm, Inst, LoadOp, Reg};
 use scd_sim::{Machine, SimConfig, SimError};
 
 const LOOPY: &str = "var s = 0; for i = 1, 300 { s = s + i * 2 - 1; } emit(s);";
 
-fn run_loopy(cfg: SimConfig) -> scd_guest::GuestRun {
-    run_source(cfg, Vm::Lvm, LOOPY, &[], Scheme::Scd, GuestOptions::default(), u64::MAX)
-        .expect("loop program runs")
+fn run_loopy(cfg: SimConfig) -> GuestRun {
+    RunRequest::new(cfg, Vm::Lvm, LOOPY).scheme(Scheme::Scd).run().expect("loop program runs")
 }
 
 #[test]
@@ -50,16 +49,11 @@ fn scheduled_fetch_removes_stalls() {
     // The ablation knob: scheduling independent work between the .op
     // load and bop hides the Rop latency.
     let opts = GuestOptions { production_weight: true, scheduled_fetch: true };
-    let sched = run_source(
-        SimConfig::embedded_a5(),
-        Vm::Lvm,
-        LOOPY,
-        &[],
-        Scheme::Scd,
-        opts,
-        u64::MAX,
-    )
-    .expect("runs");
+    let sched = RunRequest::new(SimConfig::embedded_a5(), Vm::Lvm, LOOPY)
+        .scheme(Scheme::Scd)
+        .opts(opts)
+        .run()
+        .expect("runs");
     let plain = run_loopy(SimConfig::embedded_a5());
     assert_eq!(sched.checksum, plain.checksum);
     assert!(sched.stats.bop_stall_cycles < plain.stats.bop_stall_cycles);
@@ -193,26 +187,9 @@ fn dual_issue_core_is_faster_and_correct() {
 
 #[test]
 fn vbbi_predicts_dispatch_jumps() {
-    let base = run_source(
-        SimConfig::embedded_a5(),
-        Vm::Lvm,
-        LOOPY,
-        &[],
-        Scheme::Baseline,
-        GuestOptions::default(),
-        u64::MAX,
-    )
-    .expect("runs");
-    let vbbi = run_source(
-        SimConfig::embedded_a5().with_vbbi(),
-        Vm::Lvm,
-        LOOPY,
-        &[],
-        Scheme::Baseline,
-        GuestOptions::default(),
-        u64::MAX,
-    )
-    .expect("runs");
+    let base = RunRequest::new(SimConfig::embedded_a5(), Vm::Lvm, LOOPY).run().expect("runs");
+    let vbbi =
+        RunRequest::new(SimConfig::embedded_a5().with_vbbi(), Vm::Lvm, LOOPY).run().expect("runs");
     assert_eq!(base.checksum, vbbi.checksum);
     assert_eq!(base.stats.instructions, vbbi.stats.instructions);
     // VBBI slashes dispatch-jump mispredictions without touching the
@@ -228,15 +205,11 @@ fn vbbi_predicts_dispatch_jumps() {
 
 #[test]
 fn instruction_budget_is_enforced() {
-    let r = run_source(
-        SimConfig::embedded_a5(),
-        Vm::Lvm,
-        "var i = 0; while true { i = i + 1; }",
-        &[],
-        Scheme::Scd,
-        GuestOptions::default(),
-        100_000,
-    );
+    let spin = "var i = 0; while true { i = i + 1; }";
+    let r = RunRequest::new(SimConfig::embedded_a5(), Vm::Lvm, spin)
+        .scheme(Scheme::Scd)
+        .max_insts(100_000)
+        .run();
     match r {
         Err(msg) => assert!(msg.contains("instruction limit"), "{msg}"),
         Ok(_) => panic!("infinite loop terminated"),
